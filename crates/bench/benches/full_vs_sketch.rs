@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use joinmi_bench::{trinomial_workload, PERF_SIZES};
-use joinmi_eval::EstimatorMode;
+use joinmi_bench::{mle_on_join, trinomial_workload, PERF_SIZES};
+use joinmi_eval::{full_join_estimate, EstimatorMode};
 use joinmi_sketch::{SketchConfig, SketchKind};
 use joinmi_synth::KeyDistribution;
 use joinmi_table::{augment, AugmentSpec};
@@ -55,7 +55,7 @@ fn bench_full_vs_sketch(c: &mut Criterion) {
                     let ys: Vec<_> = (0..joined.table.num_rows())
                         .map(|i| joined.table.value(i, &pair.target_column).expect("column"))
                         .collect();
-                    black_box(EstimatorMode::Mle.estimate(&xs, &ys, 0))
+                    black_box(full_join_estimate(&xs, &ys, EstimatorMode::Mle, 0))
                 });
             },
         );
@@ -65,7 +65,7 @@ fn bench_full_vs_sketch(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let joined = left.join(&right);
-                    black_box(EstimatorMode::Mle.estimate(joined.xs(), joined.ys(), 0))
+                    black_box(mle_on_join(&joined))
                 });
             },
         );

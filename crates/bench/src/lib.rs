@@ -7,6 +7,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use joinmi_eval::EstimatorMode;
+use joinmi_sketch::JoinedSketch;
 use joinmi_synth::{decompose, DecomposedPair, KeyDistribution, TrinomialConfig};
 use joinmi_table::Value;
 
@@ -39,6 +41,14 @@ pub fn trinomial_workload(rows: usize, key_dist: KeyDistribution, seed: u64) -> 
         pair,
         true_mi: data.true_mi,
     }
+}
+
+/// The plug-in MLE of a sketch join's recovered sample, as the §V-D
+/// full-versus-sketch comparison times it.
+#[must_use]
+pub fn mle_on_join(joined: &JoinedSketch) -> Option<f64> {
+    let (x, y) = joined.sample().ok()?;
+    EstimatorMode::Mle.estimate(x, y, 0)
 }
 
 /// The table sizes used by the §V-D performance comparison.

@@ -32,9 +32,9 @@ use std::time::Instant;
 
 use joinmi_bench::corpus;
 use joinmi_bench::quickjson;
-use joinmi_bench::trinomial_workload;
+use joinmi_bench::{mle_on_join, trinomial_workload};
 use joinmi_discovery::{CandidateSource, TableRepository};
-use joinmi_eval::EstimatorMode;
+use joinmi_eval::{full_join_estimate, EstimatorMode};
 use joinmi_serve::json::Json;
 use joinmi_sketch::{SketchConfig, SketchKind};
 use joinmi_synth::KeyDistribution;
@@ -808,9 +808,7 @@ fn bench_targets(rows: usize, iters: usize, results: &mut Vec<(String, f64)>) {
     let joined = left.join(&right);
     results.push((
         "estimators/mle_on_sketch_join".to_owned(),
-        median_ns(iters, || {
-            EstimatorMode::Mle.estimate(joined.xs(), joined.ys(), 0)
-        }),
+        median_ns(iters, || mle_on_join(&joined)),
     ));
 
     // full_vs_sketch: the §V-D head-to-head, both sides.
@@ -832,14 +830,14 @@ fn bench_targets(rows: usize, iters: usize, results: &mut Vec<(String, f64)>) {
             let ys: Vec<_> = (0..joined.table.num_rows())
                 .map(|i| joined.table.value(i, &pair.target_column).expect("column"))
                 .collect();
-            EstimatorMode::Mle.estimate(&xs, &ys, 0)
+            full_join_estimate(&xs, &ys, EstimatorMode::Mle, 0)
         }),
     ));
     results.push((
         format!("full_vs_sketch/sketch_join_and_estimate_{rows}"),
         median_ns(iters, || {
             let joined = left.join(&right);
-            EstimatorMode::Mle.estimate(joined.xs(), joined.ys(), 0)
+            mle_on_join(&joined)
         }),
     ));
 
@@ -871,7 +869,7 @@ fn bench_targets(rows: usize, iters: usize, results: &mut Vec<(String, f64)>) {
                 )
                 .expect("right");
             let joined = l.join(&r);
-            EstimatorMode::Mle.estimate(joined.xs(), joined.ys(), 0)
+            mle_on_join(&joined)
         }),
     ));
 

@@ -7,26 +7,29 @@
 
 use joinmi_estimators::{
     mi_interval, pearson, select_estimator, spearman, EstimatorError, EstimatorKind,
-    EstimatorWorkspace, MiEstimate, MiInterval, Variable, DEFAULT_K,
+    EstimatorWorkspace, MiEstimate, MiInterval, Variable, VariableEncoder, DEFAULT_K,
 };
 use joinmi_hash::{digest_map_with_capacity, DigestHashMap};
-use joinmi_table::{DataType, Value};
+use joinmi_table::Value;
 
 use crate::row::ColumnSketch;
 
-/// The paired sample recovered by joining a left sketch with a right sketch.
+/// The paired sample recovered by joining a left sketch with a right sketch,
+/// already encoded for the estimators.
 #[derive(Debug, Clone)]
 pub struct JoinedSketch {
-    /// Feature values (from the right / augmentation sketch), aligned with `ys`.
-    xs: Vec<Value>,
-    /// Target values (from the left / training sketch), aligned with `xs`.
-    ys: Vec<Value>,
-    x_dtype: DataType,
-    y_dtype: DataType,
+    /// Number of recovered pairs.
+    len: usize,
+    /// The (feature, target) sample: feature values from the right /
+    /// augmentation sketch, target values from the left / training sketch.
+    /// An error when a numeric column held a value that is not a number.
+    pair: Result<(Variable, Variable), EstimatorError>,
 }
 
 impl JoinedSketch {
-    /// Joins a left sketch with a right sketch on the hashed join keys.
+    /// Joins a left sketch with a right sketch on the hashed join keys,
+    /// encoding every matched pair as it is found: string columns become
+    /// first-seen codes, numeric columns `f64` coordinates.
     #[must_use]
     pub fn from_sketches(left: &ColumnSketch, right: &ColumnSketch) -> Self {
         // Right side: unique keys (first row wins if the builder somehow kept
@@ -41,126 +44,75 @@ impl JoinedSketch {
         // min(|left|, |right|) is a tight pre-size that avoids the doubling
         // reallocations on the hot scoring path.
         let reserve = left.len().min(right.len());
-        let mut xs = Vec::with_capacity(reserve);
-        let mut ys = Vec::with_capacity(reserve);
+        let mut xs = VariableEncoder::new(right.value_dtype(), reserve);
+        let mut ys = VariableEncoder::new(left.value_dtype(), reserve);
+        let mut len = 0;
         for row in left.rows() {
             if let Some(&x) = right_map.get(&row.key.raw()) {
                 if row.value.is_null() || x.is_null() {
                     continue;
                 }
-                xs.push(x.clone());
-                ys.push(row.value.clone());
+                xs.push(x);
+                ys.push(&row.value);
+                len += 1;
             }
         }
-        Self {
-            xs,
-            ys,
-            x_dtype: right.value_dtype(),
-            y_dtype: left.value_dtype(),
-        }
+        let pair = xs.finish().and_then(|x| Ok((x, ys.finish()?)));
+        Self { len, pair }
     }
 
-    /// Builds a joined sample directly from paired value columns (used for
-    /// the full-join baseline, which shares the estimation path with the
-    /// sketches).
+    /// Wraps an already encoded, aligned (feature, target) sample.
     #[must_use]
-    pub fn from_pairs(
-        xs: Vec<Value>,
-        ys: Vec<Value>,
-        x_dtype: DataType,
-        y_dtype: DataType,
-    ) -> Self {
-        // Keep only pairs where both sides are non-NULL. A single pre-sized
-        // pass (instead of zip + unzip) avoids the two incrementally grown
-        // intermediate vectors unzip would allocate.
-        let n = xs.len().min(ys.len());
-        let mut kept_xs = Vec::with_capacity(n);
-        let mut kept_ys = Vec::with_capacity(n);
-        for (x, y) in xs.into_iter().zip(ys) {
-            if !x.is_null() && !y.is_null() {
-                kept_xs.push(x);
-                kept_ys.push(y);
-            }
-        }
+    pub fn from_variables(x: Variable, y: Variable) -> Self {
         Self {
-            xs: kept_xs,
-            ys: kept_ys,
-            x_dtype,
-            y_dtype,
+            len: x.len(),
+            pair: Ok((x, y)),
         }
     }
 
     /// Number of recovered pairs (the paper's "sketch join size").
     #[must_use]
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.len
     }
 
     /// Returns `true` if no pairs were recovered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.len == 0
     }
 
     /// Approximate resident heap + inline size of this joined sample, in
-    /// bytes.
-    ///
-    /// Counts the struct itself, both value vectors at their allocated
-    /// capacity, and the heap payload of any string values. Used by the
-    /// cross-query stage cache to bound resident memory rather than entry
-    /// count alone.
+    /// bytes: the struct itself plus both encoded vectors at their allocated
+    /// capacity. Used by the cross-query stage cache to bound resident memory
+    /// rather than entry count alone.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        let value_heap: usize = self
-            .xs
-            .iter()
-            .chain(self.ys.iter())
-            .map(|v| match v {
-                Value::Str(s) => s.len(),
-                _ => 0,
-            })
-            .sum();
-        std::mem::size_of::<Self>()
-            + (self.xs.capacity() + self.ys.capacity()) * std::mem::size_of::<Value>()
-            + value_heap
+        let heap = |v: &Variable| match v {
+            Variable::Discrete(codes) => codes.capacity() * std::mem::size_of::<u32>(),
+            Variable::Continuous(coords) => coords.capacity() * std::mem::size_of::<f64>(),
+        };
+        std::mem::size_of::<Self>() + self.pair.as_ref().map_or(0, |(x, y)| heap(x) + heap(y))
     }
 
-    /// The feature values.
-    #[must_use]
-    pub fn xs(&self) -> &[Value] {
-        &self.xs
+    /// The encoded (feature, target) sample, borrowed.
+    pub fn sample(&self) -> Result<(&Variable, &Variable), EstimatorError> {
+        match &self.pair {
+            Ok((x, y)) => Ok((x, y)),
+            Err(e) => Err(e.clone()),
+        }
     }
 
-    /// The target values.
-    #[must_use]
-    pub fn ys(&self) -> &[Value] {
-        &self.ys
-    }
-
-    /// Data type of the feature values.
-    #[must_use]
-    pub fn x_dtype(&self) -> DataType {
-        self.x_dtype
-    }
-
-    /// Data type of the target values.
-    #[must_use]
-    pub fn y_dtype(&self) -> DataType {
-        self.y_dtype
-    }
-
-    /// Converts both sides to estimator variables (strings → discrete codes,
+    /// The encoded (feature, target) sample (strings → discrete codes,
     /// numerics → continuous coordinates).
     pub fn variables(&self) -> Result<(Variable, Variable), EstimatorError> {
-        let x = Variable::from_values(&self.xs, self.x_dtype)?;
-        let y = Variable::from_values(&self.ys, self.y_dtype)?;
-        Ok((x, y))
+        self.pair.clone()
     }
 
     /// The estimator that the data-type rule would select for this sample.
     pub fn selected_estimator(&self) -> Result<EstimatorKind, EstimatorError> {
-        let (x, y) = self.variables()?;
-        Ok(select_estimator(&x, &y))
+        let (x, y) = self.sample()?;
+        Ok(select_estimator(x, y))
     }
 
     /// Estimates `I(X; Y)` from the recovered pairs with the automatically
@@ -183,9 +135,8 @@ impl JoinedSketch {
         ws: &mut EstimatorWorkspace,
         k: usize,
     ) -> Result<MiEstimate, EstimatorError> {
-        let (x, y) = self.variables()?;
-        let kind = select_estimator(&x, &y);
-        joinmi_estimators::estimate_mi_with_workspace(ws, &x, &y, kind, k)
+        let (x, y) = self.sample()?;
+        joinmi_estimators::estimate_mi_with_workspace(ws, x, y, select_estimator(x, y), k)
     }
 
     /// Estimates MI like [`Self::estimate_mi_in`] and additionally computes a
@@ -203,10 +154,9 @@ impl JoinedSketch {
         k: usize,
         level: f64,
     ) -> Result<(MiEstimate, MiInterval), EstimatorError> {
-        let (x, y) = self.variables()?;
-        let kind = select_estimator(&x, &y);
-        let est = joinmi_estimators::estimate_mi_with_workspace(ws, &x, &y, kind, k)?;
-        let interval = mi_interval(&x, &y, est.mi, level)?;
+        let est = self.estimate_mi_in(ws, k)?;
+        let (x, y) = self.sample()?;
+        let interval = mi_interval(x, y, est.mi, level)?;
         Ok((est, interval))
     }
 
@@ -216,26 +166,28 @@ impl JoinedSketch {
         kind: EstimatorKind,
         k: usize,
     ) -> Result<MiEstimate, EstimatorError> {
-        let (x, y) = self.variables()?;
-        joinmi_estimators::select::estimate_mi_with(&x, &y, kind, k)
+        let (x, y) = self.sample()?;
+        joinmi_estimators::select::estimate_mi_with(x, y, kind, k)
     }
 
     /// Pearson correlation of the recovered pairs (what the CSK baseline
     /// estimates); `None` when either side is non-numeric or degenerate.
     #[must_use]
     pub fn estimate_pearson(&self) -> Option<f64> {
-        let xs: Option<Vec<f64>> = self.xs.iter().map(Value::as_f64).collect();
-        let ys: Option<Vec<f64>> = self.ys.iter().map(Value::as_f64).collect();
-        pearson(&xs?, &ys?)
+        match &self.pair {
+            Ok((Variable::Continuous(x), Variable::Continuous(y))) => pearson(x, y),
+            _ => None,
+        }
     }
 
     /// Spearman rank correlation of the recovered pairs; `None` when either
     /// side is non-numeric or degenerate.
     #[must_use]
     pub fn estimate_spearman(&self) -> Option<f64> {
-        let xs: Option<Vec<f64>> = self.xs.iter().map(Value::as_f64).collect();
-        let ys: Option<Vec<f64>> = self.ys.iter().map(Value::as_f64).collect();
-        spearman(&xs?, &ys?)
+        match &self.pair {
+            Ok((Variable::Continuous(x), Variable::Continuous(y))) => spearman(x, y),
+            _ => None,
+        }
     }
 }
 
@@ -246,6 +198,7 @@ mod tests {
     use crate::kind::SketchKind;
     use crate::row::SketchRow;
     use joinmi_hash::KeyHash;
+    use joinmi_table::DataType;
 
     fn sketch(side: Side, dtype: DataType, rows: Vec<(u64, Value)>) -> ColumnSketch {
         ColumnSketch::new(
@@ -284,14 +237,63 @@ mod tests {
         );
         let joined = left.join(&right);
         assert_eq!(joined.len(), 3);
-        assert_eq!(
-            joined.ys(),
-            &[Value::Int(10), Value::Int(11), Value::Int(20)]
+        let (xs, ys) = joined.variables().unwrap();
+        assert_eq!(ys, Variable::Continuous(vec![10.0, 11.0, 20.0]));
+        assert_eq!(xs, Variable::Continuous(vec![0.5, 0.5, 0.7]));
+    }
+
+    #[test]
+    fn string_columns_are_encoded_as_first_seen_codes() {
+        let left = sketch(
+            Side::Left,
+            DataType::Str,
+            vec![
+                (1, Value::from("b")),
+                (2, Value::from("a")),
+                (3, Value::from("b")),
+            ],
         );
-        assert_eq!(
-            joined.xs(),
-            &[Value::Float(0.5), Value::Float(0.5), Value::Float(0.7)]
+        let right = sketch(
+            Side::Right,
+            DataType::Int,
+            vec![(1, Value::Int(7)), (2, Value::Int(7)), (3, Value::Int(8))],
         );
+        let (x, y) = left.join(&right).variables().unwrap();
+        assert_eq!(y, Variable::Discrete(vec![0, 1, 0]));
+        assert_eq!(x, Variable::Continuous(vec![7.0, 7.0, 8.0]));
+    }
+
+    #[test]
+    fn non_numeric_value_in_numeric_column_is_a_typed_error() {
+        // The sketch decoder does not check per-row dtypes, so a string can
+        // reach a numeric column; every estimate then fails with a typed
+        // error instead of panicking.
+        let left = sketch(
+            Side::Left,
+            DataType::Int,
+            vec![(1, Value::Int(1)), (2, Value::Int(2)), (3, Value::Int(3))],
+        );
+        let right = sketch(
+            Side::Right,
+            DataType::Float,
+            vec![
+                (1, Value::Float(0.5)),
+                (2, Value::from("oops")),
+                (3, Value::Float(0.7)),
+            ],
+        );
+        let joined = left.join(&right);
+        assert_eq!(joined.len(), 3);
+        match joined.variables() {
+            Err(EstimatorError::IncompatibleTypes { detail, .. }) => {
+                assert!(detail.contains("oops"), "{detail}");
+            }
+            other => panic!("expected IncompatibleTypes, got {other:?}"),
+        }
+        let mut ws = EstimatorWorkspace::new();
+        assert!(joined.estimate_mi_in(&mut ws, 3).is_err());
+        assert!(joined.estimate_mi_interval_in(&mut ws, 3, 0.95).is_err());
+        assert!(joined.estimate_pearson().is_none());
     }
 
     #[test]
@@ -363,7 +365,8 @@ mod tests {
             Value::Null,
             Value::Int(5),
         ];
-        let j = JoinedSketch::from_pairs(xs, ys, DataType::Float, DataType::Int);
+        let (x, y) = Variable::from_pairs(&xs, &ys, DataType::Float, DataType::Int).unwrap();
+        let j = JoinedSketch::from_variables(x, y);
         assert_eq!(j.len(), 3);
         assert!(j.estimate_pearson().unwrap() > 0.99);
         assert!(j.estimate_spearman().unwrap() > 0.99);
@@ -371,35 +374,32 @@ mod tests {
 
     #[test]
     fn correlations_are_none_for_string_data() {
-        let j = JoinedSketch::from_pairs(
-            vec![Value::from("a")],
-            vec![Value::Int(1)],
-            DataType::Str,
-            DataType::Int,
+        let j = JoinedSketch::from_variables(
+            Variable::Discrete(vec![0]),
+            Variable::Continuous(vec![1.0]),
         );
         assert!(j.estimate_pearson().is_none());
     }
 
     #[test]
-    fn resident_bytes_counts_vectors_and_string_heap() {
-        let empty = JoinedSketch::from_pairs(vec![], vec![], DataType::Int, DataType::Int);
-        assert!(empty.resident_bytes() >= std::mem::size_of::<JoinedSketch>());
-
-        let ints = JoinedSketch::from_pairs(
-            vec![Value::Int(1), Value::Int(2)],
-            vec![Value::Int(3), Value::Int(4)],
-            DataType::Int,
-            DataType::Int,
+    fn resident_bytes_counts_the_encoded_vectors() {
+        let empty = JoinedSketch::from_variables(
+            Variable::Continuous(Vec::new()),
+            Variable::Continuous(Vec::new()),
         );
-        let strs = JoinedSketch::from_pairs(
-            vec![Value::from("a-reasonably-long-string"), Value::from("x")],
-            vec![Value::Int(3), Value::Int(4)],
-            DataType::Str,
-            DataType::Int,
+        assert_eq!(empty.resident_bytes(), std::mem::size_of::<JoinedSketch>());
+
+        let ints = JoinedSketch::from_variables(
+            Variable::Continuous(vec![1.0, 2.0]),
+            Variable::Continuous(vec![3.0, 4.0]),
+        );
+        let codes = JoinedSketch::from_variables(
+            Variable::Discrete(vec![0, 1]),
+            Variable::Continuous(vec![3.0, 4.0]),
         );
         assert!(ints.resident_bytes() > empty.resident_bytes());
-        // Same pair count, but string payloads add heap bytes.
-        assert!(strs.resident_bytes() > ints.resident_bytes());
+        // Same pair count: codes take 4 bytes per pair, coordinates 8.
+        assert_eq!(ints.resident_bytes() - codes.resident_bytes(), 2 * 4);
     }
 
     #[test]
@@ -429,7 +429,10 @@ mod tests {
 
     #[test]
     fn empty_join_estimation_errors() {
-        let j = JoinedSketch::from_pairs(vec![], vec![], DataType::Int, DataType::Int);
+        let j = JoinedSketch::from_variables(
+            Variable::Continuous(Vec::new()),
+            Variable::Continuous(Vec::new()),
+        );
         assert!(j.is_empty());
         assert!(j.estimate_mi().is_err());
     }

@@ -500,16 +500,13 @@ impl CacheScope<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinmi_table::{DataType, Value};
+    use joinmi_estimators::Variable;
 
     fn joined(n: usize) -> Arc<JoinedSketch> {
-        let xs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-        let ys = xs.clone();
-        Arc::new(JoinedSketch::from_pairs(
-            xs,
-            ys,
-            DataType::Int,
-            DataType::Int,
+        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        Arc::new(JoinedSketch::from_variables(
+            Variable::Continuous(xs.clone()),
+            Variable::Continuous(xs),
         ))
     }
 

@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod contingency;
 pub mod correlation;
 pub mod dc_ksg;
 pub mod entropy;
@@ -37,6 +38,7 @@ pub mod special;
 pub mod variable;
 pub mod workspace;
 
+pub use contingency::Contingency;
 pub use correlation::{pearson, spearman};
 pub use dc_ksg::{dc_ksg_mi, dc_ksg_mi_with};
 pub use entropy::{knn_entropy_1d, miller_madow_entropy, mle_entropy};
@@ -52,7 +54,7 @@ pub use posterior::{
 pub use select::{
     estimate_mi, estimate_mi_with_workspace, select_estimator, EstimatorKind, MiEstimate,
 };
-pub use variable::{discretize, to_continuous, Variable};
+pub use variable::{discretize, Variable, VariableEncoder};
 pub use workspace::EstimatorWorkspace;
 
 /// Result alias for estimator operations.

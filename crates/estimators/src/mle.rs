@@ -2,10 +2,7 @@
 //! variable pairs, plus the Laplace-smoothed variant mentioned in the paper's
 //! conclusion and the first-order bias formula (Eq. 6).
 
-use std::collections::HashMap;
-
-use joinmi_hash::FixedHashMap;
-
+use crate::contingency::Contingency;
 use crate::error::EstimatorError;
 use crate::Result;
 
@@ -17,29 +14,19 @@ use crate::Result;
 /// The estimate is clamped at 0 (the true MI is non-negative, and tiny
 /// negative values can appear from floating-point cancellation).
 pub fn mle_mi(x: &[u32], y: &[u32]) -> Result<f64> {
-    check_lengths(x, y)?;
-    let n = x.len() as f64;
+    Ok(plug_in_mi(&Contingency::new(x, y)?))
+}
 
-    // Deterministic hasher: the MI sum below runs in map iteration order, so
-    // a randomly seeded map would make the estimate differ in the last float
-    // bits from run to run (and between parallel and sequential replays).
-    let mut joint: FixedHashMap<(u32, u32), f64> = FixedHashMap::default();
-    let mut px: FixedHashMap<u32, f64> = FixedHashMap::default();
-    let mut py: FixedHashMap<u32, f64> = FixedHashMap::default();
-    for (&a, &b) in x.iter().zip(y) {
-        *joint.entry((a, b)).or_default() += 1.0;
-        *px.entry(a).or_default() += 1.0;
-        *py.entry(b).or_default() += 1.0;
-    }
-
+fn plug_in_mi(table: &Contingency) -> f64 {
+    let n = table.n() as f64;
     let mut mi = 0.0;
-    for (&(a, b), &nab) in &joint {
+    for (nab, na, nb) in table.cells() {
         let pab = nab / n;
-        let pa = px[&a] / n;
-        let pb = py[&b] / n;
+        let pa = na / n;
+        let pb = nb / n;
         mi += pab * (pab / (pa * pb)).ln();
     }
-    Ok(mi.max(0.0))
+    mi.max(0.0)
 }
 
 /// Laplace-smoothed MI: every cell of the joint contingency table over the
@@ -48,44 +35,34 @@ pub fn mle_mi(x: &[u32], y: &[u32]) -> Result<f64> {
 /// the MLE's high recall for fewer false discoveries (see the paper's
 /// conclusion and Pennerath et al. 2020).
 pub fn smoothed_mle_mi(x: &[u32], y: &[u32], alpha: f64) -> Result<f64> {
-    check_lengths(x, y)?;
+    let table = Contingency::new(x, y)?;
     if alpha < 0.0 {
         return Err(EstimatorError::InvalidParameter(format!(
             "smoothing pseudo-count must be non-negative, got {alpha}"
         )));
     }
     if alpha == 0.0 {
-        return mle_mi(x, y);
+        return Ok(plug_in_mi(&table));
     }
-    let n = x.len() as f64;
+    let xs = table.x_support();
+    let ys = table.y_support();
+    let smoothed = |a: u32, b: u32| table.count(a, b) + alpha;
+    let total = table.n() as f64 + alpha * (xs.len() as f64) * (ys.len() as f64);
 
-    let mut xs = x.to_vec();
-    xs.sort_unstable();
-    xs.dedup();
-    let mut ys = y.to_vec();
-    ys.sort_unstable();
-    ys.dedup();
-
-    let mut joint: HashMap<(u32, u32), f64> = HashMap::new();
-    for (&a, &b) in x.iter().zip(y) {
-        *joint.entry((a, b)).or_default() += 1.0;
-    }
-
-    let total = n + alpha * (xs.len() as f64) * (ys.len() as f64);
-    // Smoothed marginals are the row/column sums of the smoothed joint.
+    // Smoothed marginals are the row/column sums of the smoothed joint, each
+    // summed once, in ascending category order.
+    let row_sums: Vec<f64> = xs
+        .iter()
+        .map(|&a| ys.iter().map(|&b| smoothed(a, b)).sum())
+        .collect();
+    let col_sums: Vec<f64> = ys
+        .iter()
+        .map(|&b| xs.iter().map(|&a| smoothed(a, b)).sum())
+        .collect();
     let mut mi = 0.0;
-    for &a in &xs {
-        for &b in &ys {
-            let nab = joint.get(&(a, b)).copied().unwrap_or(0.0) + alpha;
-            let pab = nab / total;
-            let na: f64 = ys
-                .iter()
-                .map(|&bb| joint.get(&(a, bb)).copied().unwrap_or(0.0) + alpha)
-                .sum();
-            let nb: f64 = xs
-                .iter()
-                .map(|&aa| joint.get(&(aa, b)).copied().unwrap_or(0.0) + alpha)
-                .sum();
+    for (&a, &na) in xs.iter().zip(&row_sums) {
+        for (&b, &nb) in ys.iter().zip(&col_sums) {
+            let pab = smoothed(a, b) / total;
             let pa = na / total;
             let pb = nb / total;
             if pab > 0.0 {
@@ -106,22 +83,6 @@ pub fn smoothed_mle_mi(x: &[u32], y: &[u32], alpha: f64) -> Result<f64> {
 #[must_use]
 pub fn mle_mi_bias(m_x: usize, m_y: usize, m_xy: usize, n: usize) -> f64 {
     (m_x as f64 + m_y as f64 - m_xy as f64 - 1.0) / (2.0 * n as f64)
-}
-
-fn check_lengths(x: &[u32], y: &[u32]) -> Result<()> {
-    if x.len() != y.len() {
-        return Err(EstimatorError::LengthMismatch {
-            x_len: x.len(),
-            y_len: y.len(),
-        });
-    }
-    if x.is_empty() {
-        return Err(EstimatorError::InsufficientSamples {
-            available: 0,
-            required: 1,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

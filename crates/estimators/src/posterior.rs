@@ -24,10 +24,8 @@
 //! categories), the same coercion [`crate::select::estimate_mi_with`] applies
 //! when the MLE is forced onto numeric data.
 
-use joinmi_hash::FixedHashMap;
-
+use crate::contingency::Contingency;
 use crate::error::EstimatorError;
-use crate::select::force_codes;
 use crate::special::digamma;
 use crate::variable::Variable;
 use crate::Result;
@@ -63,41 +61,17 @@ pub struct MiInterval {
 
 /// Computes the posterior moments of `I(X; Y)` from integer-coded samples.
 ///
-/// The contingency table is accumulated in a deterministically seeded map so
-/// the floating-point sums run in a fixed order — estimates are bit-for-bit
-/// reproducible across runs and across parallel/sequential replays, matching
-/// the discipline of [`crate::mle::mle_mi`].
+/// The moments are sums over the same [`Contingency`] table, in the same
+/// fixed cell order, as [`crate::mle::mle_mi`], so they are bit-for-bit
+/// reproducible across runs and across parallel/sequential replays.
 pub fn mi_posterior(x: &[u32], y: &[u32]) -> Result<MiPosterior> {
-    if x.len() != y.len() {
-        return Err(EstimatorError::LengthMismatch {
-            x_len: x.len(),
-            y_len: y.len(),
-        });
-    }
-    if x.is_empty() {
-        return Err(EstimatorError::InsufficientSamples {
-            available: 0,
-            required: 1,
-        });
-    }
-    let n = x.len() as f64;
-
-    let mut joint: FixedHashMap<(u32, u32), f64> = FixedHashMap::default();
-    let mut px: FixedHashMap<u32, f64> = FixedHashMap::default();
-    let mut py: FixedHashMap<u32, f64> = FixedHashMap::default();
-    for (&a, &b) in x.iter().zip(y) {
-        *joint.entry((a, b)).or_default() += 1.0;
-        *px.entry(a).or_default() += 1.0;
-        *py.entry(b).or_default() += 1.0;
-    }
-
+    let table = Contingency::new(x, y)?;
+    let n = table.n() as f64;
     let psi_n1 = digamma(n + 1.0);
     let mut mean = 0.0;
     let mut j_sum = 0.0;
     let mut k_sum = 0.0;
-    for (&(a, b), &nab) in &joint {
-        let na = px[&a];
-        let nb = py[&b];
+    for (nab, na, nb) in table.cells() {
         let w = nab / n;
         mean += w * (digamma(nab + 1.0) - digamma(na + 1.0) - digamma(nb + 1.0) + psi_n1);
         let log_term = (nab * n / (na * nb)).ln();
@@ -107,14 +81,14 @@ pub fn mi_posterior(x: &[u32], y: &[u32]) -> Result<MiPosterior> {
     Ok(MiPosterior {
         mean: mean.max(0.0),
         variance: ((k_sum - j_sum * j_sum) / (n + 1.0)).max(0.0),
-        n: x.len(),
+        n: table.n(),
     })
 }
 
 /// [`mi_posterior`] over [`Variable`] samples: continuous sides are grouped
 /// into categories by exact equality before the contingency table is built.
 pub fn mi_posterior_vars(x: &Variable, y: &Variable) -> Result<MiPosterior> {
-    mi_posterior(&force_codes(x), &force_codes(y))
+    mi_posterior(&x.codes(), &y.codes())
 }
 
 /// Builds the credible interval for a point estimate `mi` from posterior

@@ -115,8 +115,8 @@ pub fn estimate_mi_with_workspace(
     }
     let n = x.len();
     let mi = match kind {
-        EstimatorKind::Mle => mle_mi(&force_codes(x), &force_codes(y))?,
-        EstimatorKind::SmoothedMle => smoothed_mle_mi(&force_codes(x), &force_codes(y), 1.0)?,
+        EstimatorKind::Mle => mle_mi(&x.codes(), &y.codes())?,
+        EstimatorKind::SmoothedMle => smoothed_mle_mi(&x.codes(), &y.codes(), 1.0)?,
         EstimatorKind::Ksg => {
             crate::ksg::ksg_mi_with(ws, &x.as_continuous(), &y.as_continuous(), k)?
         }
@@ -158,23 +158,6 @@ pub fn estimate_mi(x: &Variable, y: &Variable, k: usize) -> Result<MiEstimate> {
 /// default neighbour count.
 pub fn estimate_mi_default(x: &Variable, y: &Variable) -> Result<MiEstimate> {
     estimate_mi(x, y, DEFAULT_K)
-}
-
-pub(crate) fn force_codes(v: &Variable) -> Vec<u32> {
-    match v {
-        Variable::Discrete(codes) => codes.clone(),
-        Variable::Continuous(values) => {
-            // Group exactly equal numeric values into categories.
-            let mut map = std::collections::HashMap::new();
-            values
-                .iter()
-                .map(|x| {
-                    let next = map.len() as u32;
-                    *map.entry(x.to_bits()).or_insert(next)
-                })
-                .collect()
-        }
-    }
 }
 
 #[cfg(test)]

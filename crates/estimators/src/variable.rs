@@ -3,11 +3,19 @@
 //! Estimators operate on one of two representations of a column sample:
 //! integer *codes* for discrete (categorical) variables or `f64` coordinates
 //! for continuous / mixture variables. [`Variable`] packages a sample with
-//! its representation and provides conversions from generic
-//! [`Value`] slices.
+//! its representation and lends it out in either form:
+//! [`Variable::codes`] and [`Variable::as_continuous`] borrow the stored
+//! representation and only build the other one on demand.
+//!
+//! Every [`Value`] → sample conversion goes through [`VariableEncoder`], and
+//! every mapping from values to codes through one first-seen code assigner:
+//! the first distinct value gets code 0, the next 1, and so on. Codes
+//! therefore depend only on the order of the sample, never on a hasher.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::hash::Hash;
 
+use joinmi_hash::FixedHashMap;
 use joinmi_table::{DataType, Value};
 
 use crate::error::EstimatorError;
@@ -63,75 +71,162 @@ impl Variable {
         }
     }
 
-    /// Returns the continuous coordinates, converting discrete codes to
-    /// floats when necessary (ordered discrete data can legitimately be fed
-    /// to KSG-type estimators; see Section V-A of the paper).
+    /// The sample as categorical codes: discrete codes are borrowed as they
+    /// are; continuous coordinates are grouped by exact bit pattern into
+    /// first-seen codes. This is the coercion the MLE-family estimators and
+    /// the posterior interval apply to numeric data.
     #[must_use]
-    pub fn as_continuous(&self) -> Vec<f64> {
+    pub fn codes(&self) -> Cow<'_, [u32]> {
         match self {
-            Self::Discrete(v) => v.iter().map(|&c| f64::from(c)).collect(),
-            Self::Continuous(v) => v.clone(),
-        }
-    }
-
-    /// Builds a variable from values, choosing the representation from the
-    /// column's data type: strings become discrete codes, numerics become
-    /// continuous coordinates. NULLs must be filtered out by the caller
-    /// (pairwise) before conversion; any NULL here is an error.
-    pub fn from_values(values: &[Value], dtype: DataType) -> Result<Self> {
-        match dtype {
-            DataType::Str => Ok(Self::Discrete(discretize(values))),
-            DataType::Int | DataType::Float => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    match v.as_f64() {
-                        Some(x) => out.push(x),
-                        None => {
-                            return Err(EstimatorError::IncompatibleTypes {
-                                estimator: "variable conversion".to_owned(),
-                                detail: format!("non-numeric value `{v}` in a numeric column"),
-                            })
-                        }
-                    }
-                }
-                Ok(Self::Continuous(out))
+            Self::Discrete(codes) => Cow::Borrowed(codes),
+            Self::Continuous(values) => {
+                Cow::Owned(CodeAssigner::assign(values.iter().map(|x| x.to_bits())))
             }
         }
     }
 
-    /// Forces a discrete representation regardless of the original type
-    /// (numeric values are grouped by exact equality).
+    /// The sample as continuous coordinates: continuous samples are borrowed
+    /// as they are; discrete codes are widened to floats (ordered discrete
+    /// data can legitimately be fed to KSG-type estimators; see Section V-A
+    /// of the paper).
     #[must_use]
-    pub fn forced_discrete(values: &[Value]) -> Self {
-        Self::Discrete(discretize(values))
+    pub fn as_continuous(&self) -> Cow<'_, [f64]> {
+        match self {
+            Self::Discrete(v) => Cow::Owned(v.iter().map(|&c| f64::from(c)).collect()),
+            Self::Continuous(v) => Cow::Borrowed(v),
+        }
+    }
+
+    /// Builds a variable from values, choosing the representation from the
+    /// column's data type (see [`VariableEncoder`]). NULLs must be filtered
+    /// out by the caller (pairwise) before conversion; a NULL in a numeric
+    /// column is an error.
+    pub fn from_values(values: &[Value], dtype: DataType) -> Result<Self> {
+        let mut encoder = VariableEncoder::new(dtype, values.len());
+        for v in values {
+            encoder.push(v);
+        }
+        encoder.finish()
+    }
+
+    /// Encodes two aligned value columns as a paired sample, keeping only the
+    /// pairs where both sides are non-NULL (used for the full-join baseline,
+    /// which shares the estimation path with the sketches).
+    pub fn from_pairs(
+        xs: &[Value],
+        ys: &[Value],
+        x_dtype: DataType,
+        y_dtype: DataType,
+    ) -> Result<(Self, Self)> {
+        let n = xs.len().min(ys.len());
+        let mut x = VariableEncoder::new(x_dtype, n);
+        let mut y = VariableEncoder::new(y_dtype, n);
+        for (a, b) in xs.iter().zip(ys) {
+            if !a.is_null() && !b.is_null() {
+                x.push(a);
+                y.push(b);
+            }
+        }
+        Ok((x.finish()?, y.finish()?))
+    }
+}
+
+/// Encodes one column's values into a [`Variable`] as they arrive, with the
+/// representation chosen from the column's data type: strings become
+/// first-seen codes, numerics become `f64` coordinates.
+///
+/// A value that a numeric column cannot hold (a string or a NULL) does not
+/// stop the encoder; the first one is remembered and [`finish`](Self::finish)
+/// reports it as [`EstimatorError::IncompatibleTypes`].
+#[derive(Debug)]
+pub struct VariableEncoder<'a> {
+    sample: Encoding<'a>,
+    first_bad: Option<&'a Value>,
+}
+
+#[derive(Debug)]
+enum Encoding<'a> {
+    Codes(Vec<u32>, CodeAssigner<&'a Value>),
+    Coords(Vec<f64>),
+}
+
+impl<'a> VariableEncoder<'a> {
+    /// An empty encoder for a column of type `dtype`, pre-sized for
+    /// `capacity` values.
+    #[must_use]
+    pub fn new(dtype: DataType, capacity: usize) -> Self {
+        let sample = match dtype {
+            DataType::Str => Encoding::Codes(Vec::with_capacity(capacity), CodeAssigner::new()),
+            DataType::Int | DataType::Float => Encoding::Coords(Vec::with_capacity(capacity)),
+        };
+        Self {
+            sample,
+            first_bad: None,
+        }
+    }
+
+    /// Appends one value.
+    pub fn push(&mut self, value: &'a Value) {
+        match &mut self.sample {
+            Encoding::Codes(codes, assigner) => codes.push(assigner.code(value)),
+            Encoding::Coords(coords) => match value.as_f64() {
+                Some(x) => coords.push(x),
+                None => {
+                    self.first_bad.get_or_insert(value);
+                }
+            },
+        }
+    }
+
+    /// The encoded sample, or the first value a numeric column could not
+    /// hold.
+    pub fn finish(self) -> Result<Variable> {
+        if let Some(v) = self.first_bad {
+            return Err(EstimatorError::IncompatibleTypes {
+                estimator: "variable conversion".to_owned(),
+                detail: format!("non-numeric value `{v}` in a numeric column"),
+            });
+        }
+        Ok(match self.sample {
+            Encoding::Codes(codes, _) => Variable::Discrete(codes),
+            Encoding::Coords(coords) => Variable::Continuous(coords),
+        })
     }
 }
 
 /// Maps arbitrary values to dense integer codes (equal values share a code).
 #[must_use]
 pub fn discretize(values: &[Value]) -> Vec<u32> {
-    let mut codes: HashMap<&Value, u32> = HashMap::new();
-    let mut out = Vec::with_capacity(values.len());
-    for v in values {
-        let next = codes.len() as u32;
-        let code = *codes.entry(v).or_insert(next);
-        out.push(code);
-    }
-    out
+    CodeAssigner::assign(values)
 }
 
-/// Extracts the numeric coordinates of a value slice, failing on non-numeric
-/// entries.
-pub fn to_continuous(values: &[Value]) -> Result<Vec<f64>> {
-    values
-        .iter()
-        .map(|v| {
-            v.as_f64().ok_or_else(|| EstimatorError::IncompatibleTypes {
-                estimator: "continuous conversion".to_owned(),
-                detail: format!("value `{v}` is not numeric"),
-            })
-        })
-        .collect()
+/// The first-seen code assigner: equal keys share a code, and codes count up
+/// from 0 in order of first appearance.
+///
+/// The map is only a lookup, so its hasher never shows in the codes. It is
+/// the deterministic [`FixedHashMap`]; the samples it keys are bounded by the
+/// sketch size, which caps the cost of any adversarial collisions.
+#[derive(Debug)]
+struct CodeAssigner<K> {
+    codes: FixedHashMap<K, u32>,
+}
+
+impl<K: Hash + Eq> CodeAssigner<K> {
+    fn new() -> Self {
+        Self {
+            codes: FixedHashMap::default(),
+        }
+    }
+
+    fn code(&mut self, key: K) -> u32 {
+        let next = self.codes.len() as u32;
+        *self.codes.entry(key).or_insert(next)
+    }
+
+    fn assign(keys: impl IntoIterator<Item = K>) -> Vec<u32> {
+        let mut assigner = Self::new();
+        keys.into_iter().map(|key| assigner.code(key)).collect()
+    }
 }
 
 #[cfg(test)]
@@ -173,21 +268,53 @@ mod tests {
     }
 
     #[test]
-    fn forced_discrete_groups_numerics() {
-        let vals = vec![Value::Float(1.5), Value::Float(1.5), Value::Float(2.0)];
-        let v = Variable::forced_discrete(&vals);
-        assert_eq!(v, Variable::Discrete(vec![0, 0, 1]));
+    fn codes_group_numerics_by_bit_pattern() {
+        let v = Variable::Continuous(vec![1.5, 1.5, 2.0, 0.0, -0.0, 2.0]);
+        assert_eq!(&*v.codes(), &[0, 0, 1, 2, 3, 1]);
+        let d = Variable::Discrete(vec![4, 2, 4]);
+        assert!(matches!(d.codes(), Cow::Borrowed(&[4, 2, 4])));
     }
 
     #[test]
     fn as_continuous_widens_codes() {
         let v = Variable::Discrete(vec![0, 2, 1]);
-        assert_eq!(v.as_continuous(), vec![0.0, 2.0, 1.0]);
+        assert_eq!(&*v.as_continuous(), &[0.0, 2.0, 1.0]);
+        let c = Variable::Continuous(vec![0.5, 1.5]);
+        assert!(matches!(c.as_continuous(), Cow::Borrowed(_)));
     }
 
     #[test]
-    fn to_continuous_errors_on_strings() {
-        assert!(to_continuous(&[Value::from("a")]).is_err());
-        assert_eq!(to_continuous(&[Value::Int(2)]).unwrap(), vec![2.0]);
+    fn encoder_reports_the_first_non_numeric_value() {
+        let vals = [Value::Int(1), Value::from("a"), Value::from("b")];
+        let err = Variable::from_values(&vals, DataType::Int).unwrap_err();
+        match err {
+            EstimatorError::IncompatibleTypes { detail, .. } => assert!(detail.contains("`a`")),
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert_eq!(
+            Variable::from_values(&[Value::Int(2)], DataType::Int)
+                .unwrap()
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn from_pairs_drops_pairs_with_a_null_side() {
+        let xs = [
+            Value::Float(1.0),
+            Value::Null,
+            Value::Float(3.0),
+            Value::Float(4.0),
+        ];
+        let ys = [
+            Value::from("a"),
+            Value::from("b"),
+            Value::Null,
+            Value::from("a"),
+        ];
+        let (x, y) = Variable::from_pairs(&xs, &ys, DataType::Float, DataType::Str).unwrap();
+        assert_eq!(x, Variable::Continuous(vec![1.0, 4.0]));
+        assert_eq!(y, Variable::Discrete(vec![0, 0]));
     }
 }

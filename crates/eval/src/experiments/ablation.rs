@@ -18,7 +18,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::metrics::mse;
-use crate::pipeline::{sketch_estimate, sketch_join_size, EstimatorMode, SketchTrial};
+use crate::pipeline::{
+    full_join_estimate, sketch_estimate, sketch_join_size, EstimatorMode, SketchTrial,
+};
 use crate::report::{f2, TableReport};
 
 /// Configuration of the ablation experiments.
@@ -170,7 +172,7 @@ pub fn aggregation_choice(cfg: &Config) -> BTreeMap<String, f64> {
         let ys: Vec<_> = (0..joined.table.num_rows())
             .map(|i| joined.table.value(i, "y").expect("column"))
             .collect();
-        if let Some(mi) = EstimatorMode::MixedKsg.estimate(&xs, &ys, cfg.seed) {
+        if let Some(mi) = full_join_estimate(&xs, &ys, EstimatorMode::MixedKsg, cfg.seed) {
             out.insert(agg.name().to_owned(), mi);
         }
     }

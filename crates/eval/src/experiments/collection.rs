@@ -9,7 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use joinmi_sketch::{JoinedSketch, SketchConfig, SketchKind};
+use joinmi_estimators::{estimate_mi, Variable, DEFAULT_K};
+use joinmi_sketch::{SketchConfig, SketchKind};
 use joinmi_synth::OpenDataCollection;
 use joinmi_table::{augment, Aggregation, AugmentSpec, DataType, Table};
 
@@ -136,8 +137,8 @@ fn full_join_reference(train: &Table, cand: &Table) -> Option<(f64, usize, Strin
         .collect::<Option<_>>()?;
     let x_dtype = table.column(&feature_col).ok()?.dtype();
     let y_dtype = table.column("value").ok()?.dtype();
-    let joined = JoinedSketch::from_pairs(xs, ys, x_dtype, y_dtype);
-    let est = joined.estimate_mi().ok()?;
+    let (x, y) = Variable::from_pairs(&xs, &ys, x_dtype, y_dtype).ok()?;
+    let est = estimate_mi(&x, &y, DEFAULT_K).ok()?;
     Some((est.mi, result.matched_rows, est.estimator.name().to_owned()))
 }
 

@@ -14,7 +14,7 @@ use joinmi_sketch::{SketchConfig, SketchKind};
 use joinmi_synth::{decompose, KeyDistribution, TrinomialConfig};
 use joinmi_table::{augment, AugmentSpec};
 
-use crate::pipeline::EstimatorMode;
+use crate::pipeline::{full_join_estimate, EstimatorMode};
 use crate::report::{f3, TableReport};
 
 /// Configuration of the performance experiment.
@@ -117,7 +117,7 @@ pub fn run(cfg: &Config) -> Vec<Timing> {
                 })
                 .collect();
             let t0 = Instant::now();
-            let _ = EstimatorMode::Mle.estimate(&xs, &ys, cfg.seed);
+            let _ = full_join_estimate(&xs, &ys, EstimatorMode::Mle, cfg.seed);
             full_est.push(ms_since(t0));
 
             let t0 = Instant::now();
@@ -145,7 +145,9 @@ pub fn run(cfg: &Config) -> Vec<Timing> {
             sketch_join.push(ms_since(t0));
 
             let t0 = Instant::now();
-            let _ = EstimatorMode::Mle.estimate(joined_sketch.xs(), joined_sketch.ys(), cfg.seed);
+            if let Ok((x, y)) = joined_sketch.sample() {
+                let _ = EstimatorMode::Mle.estimate(x, y, cfg.seed);
+            }
             sketch_est.push(ms_since(t0));
         }
 

@@ -6,12 +6,12 @@
 //! The full-join baseline applies the same estimator to all generated pairs.
 
 use joinmi_estimators::{
-    dc_ksg_mi_with, discretize, mixed_ksg_mi_with, mle_mi, perturb_ties_with, EstimatorWorkspace,
+    dc_ksg_mi_with, mixed_ksg_mi_with, mle_mi, perturb_ties_with, EstimatorWorkspace, Variable,
     DEFAULT_K,
 };
-use joinmi_sketch::{ColumnSketch, JoinedSketch, SketchConfig, SketchKind};
+use joinmi_sketch::{ColumnSketch, SketchConfig, SketchKind};
 use joinmi_synth::DecomposedPair;
-use joinmi_table::Value;
+use joinmi_table::{DataType, Value};
 
 /// Which estimator an experiment applies to the recovered sample.
 ///
@@ -46,14 +46,17 @@ impl EstimatorMode {
         }
     }
 
-    /// Applies the estimator to paired feature/target values.
+    /// Applies the estimator to a paired feature/target sample.
     ///
-    /// Returns `None` when the estimator cannot produce a finite estimate
-    /// (e.g. too few samples), letting experiments skip the trial the same
-    /// way the paper discards meaningless estimates.
+    /// The mode, not the sample's representation, picks the treatment:
+    /// the MLE groups numeric values by exact equality, and the KSG-family
+    /// modes need numeric data on their continuous sides. Returns `None` when
+    /// the estimator cannot produce a finite estimate (e.g. too few samples
+    /// or a string column on a continuous side), letting experiments skip
+    /// the trial the same way the paper discards meaningless estimates.
     #[must_use]
-    pub fn estimate(self, xs: &[Value], ys: &[Value], seed: u64) -> Option<f64> {
-        self.estimate_in(&mut EstimatorWorkspace::new(), xs, ys, seed)
+    pub fn estimate(self, x: &Variable, y: &Variable, seed: u64) -> Option<f64> {
+        self.estimate_in(&mut EstimatorWorkspace::new(), x, y, seed)
     }
 
     /// [`estimate`](Self::estimate) against a caller-owned
@@ -63,34 +66,32 @@ impl EstimatorMode {
     pub fn estimate_in(
         self,
         ws: &mut EstimatorWorkspace,
-        xs: &[Value],
-        ys: &[Value],
+        x: &Variable,
+        y: &Variable,
         seed: u64,
     ) -> Option<f64> {
-        if xs.len() != ys.len() || xs.len() < DEFAULT_K + 2 {
+        if x.len() != y.len() || x.len() < DEFAULT_K + 2 {
             return None;
         }
         match self {
-            Self::Mle => mle_mi(&discretize(xs), &discretize(ys)).ok(),
-            Self::MixedKsg => {
-                let xf = to_f64(xs)?;
-                let yf = to_f64(ys)?;
-                mixed_ksg_mi_with(ws, &xf, &yf, DEFAULT_K).ok()
-            }
+            Self::Mle => mle_mi(&x.codes(), &y.codes()).ok(),
+            Self::MixedKsg => mixed_ksg_mi_with(ws, numeric(x)?, numeric(y)?, DEFAULT_K).ok(),
             Self::DcKsg => {
-                let codes = discretize(xs);
-                let yf = to_f64(ys)?;
                 // Break ties so the "continuous" side satisfies the
                 // estimator's assumptions (Section V-A perturbation).
-                let yf = perturb_ties_with(ws, &yf, 1e-9, seed);
-                dc_ksg_mi_with(ws, &codes, &yf, DEFAULT_K).ok()
+                let yf = perturb_ties_with(ws, numeric(y)?, 1e-9, seed);
+                dc_ksg_mi_with(ws, &x.codes(), &yf, DEFAULT_K).ok()
             }
         }
     }
 }
 
-fn to_f64(values: &[Value]) -> Option<Vec<f64>> {
-    values.iter().map(Value::as_f64).collect()
+/// The coordinates of a numeric sample; `None` for a string column.
+fn numeric(v: &Variable) -> Option<&[f64]> {
+    match v {
+        Variable::Continuous(values) => Some(values),
+        Variable::Discrete(_) => None,
+    }
 }
 
 /// The outcome of estimating MI through a sketch join.
@@ -150,10 +151,9 @@ fn estimate_from_sketches(
     right: &ColumnSketch,
     trial: &SketchTrial,
 ) -> Option<TrialOutcome> {
-    let joined: JoinedSketch = left.join(right);
-    let estimate = trial
-        .mode
-        .estimate_in(ws, joined.xs(), joined.ys(), trial.config.seed)?;
+    let joined = left.join(right);
+    let (x, y) = joined.sample().ok()?;
+    let estimate = trial.mode.estimate_in(ws, x, y, trial.config.seed)?;
     Some(TrialOutcome {
         estimate,
         join_size: joined.len(),
@@ -276,7 +276,8 @@ pub fn sketch_join_size(
 /// The full-join baseline: applies the estimator to *all* generated pairs
 /// (equivalent to estimating on the materialized augmentation join, which
 /// recovers the generated pairs exactly — verified by the decomposition
-/// round-trip tests).
+/// round-trip tests). Each column is encoded by the type of its first
+/// non-NULL value; pairs with a NULL side are dropped.
 #[must_use]
 pub fn full_join_estimate(
     xs: &[Value],
@@ -284,7 +285,17 @@ pub fn full_join_estimate(
     mode: EstimatorMode,
     seed: u64,
 ) -> Option<f64> {
-    mode.estimate(xs, ys, seed)
+    if xs.len() != ys.len() {
+        return None;
+    }
+    let dtype = |values: &[Value]| {
+        values
+            .iter()
+            .find_map(Value::dtype)
+            .unwrap_or(DataType::Float)
+    };
+    let (x, y) = Variable::from_pairs(xs, ys, dtype(xs), dtype(ys)).ok()?;
+    mode.estimate(&x, &y, seed)
 }
 
 #[cfg(test)]
@@ -342,15 +353,17 @@ mod tests {
 
     #[test]
     fn too_small_samples_return_none() {
-        assert!(EstimatorMode::MixedKsg
-            .estimate(&[Value::Int(1)], &[Value::Int(1)], 0)
-            .is_none());
-        let strings = vec![Value::from("a"); 10];
+        let one = Variable::Continuous(vec![1.0]);
+        assert!(EstimatorMode::MixedKsg.estimate(&one, &one, 0).is_none());
+        let strings = Variable::Discrete(vec![0; 10]);
         // Non-numeric data cannot be fed to the KSG-family modes.
         assert!(EstimatorMode::MixedKsg
             .estimate(&strings, &strings, 0)
             .is_none());
         assert!(EstimatorMode::Mle.estimate(&strings, &strings, 0).is_some());
+        let text = vec![Value::from("a"); 10];
+        assert!(full_join_estimate(&text, &text, EstimatorMode::MixedKsg, 0).is_none());
+        assert!(full_join_estimate(&text, &text, EstimatorMode::Mle, 0).is_some());
     }
 
     #[test]

@@ -82,12 +82,14 @@ fn main() {
     let ys: Vec<Value> = (0..full.table.num_rows())
         .map(|i| full.table.value(i, "num_trips").expect("column"))
         .collect();
-    let full_joined = joinmi::sketch::JoinedSketch::from_pairs(
-        xs,
-        ys,
+    let (x, y) = joinmi::estimators::Variable::from_pairs(
+        &xs,
+        &ys,
         joinmi::table::DataType::Float,
         joinmi::table::DataType::Int,
-    );
+    )
+    .expect("numeric columns");
+    let full_joined = joinmi::sketch::JoinedSketch::from_variables(x, y);
     let full_estimate = full_joined.estimate_mi().expect("estimate");
     println!(
         "full-join estimate: I(num_trips ; AVG(population)) = {:.3} nats  ({} samples)",

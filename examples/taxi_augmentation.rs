@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --example taxi_augmentation --release`
 
+use joinmi::estimators::{estimate_mi, Variable, DEFAULT_K};
 use joinmi::prelude::*;
 use joinmi::synth::TaxiScenario;
 use joinmi::table::{augment, AugmentSpec};
@@ -101,8 +102,8 @@ fn main() {
             .column(&spec.feature_column_name())
             .expect("column")
             .dtype();
-        let full_mi = joinmi::sketch::JoinedSketch::from_pairs(xs, ys, x_dtype, DataType::Int)
-            .estimate_mi()
+        let full_mi = Variable::from_pairs(&xs, &ys, x_dtype, DataType::Int)
+            .and_then(|(x, y)| estimate_mi(&x, &y, DEFAULT_K))
             .map(|e| e.mi)
             .unwrap_or(f64::NAN);
 

@@ -3,8 +3,8 @@
 //! same realistic scenario.
 
 use joinmi::discovery::{AugmentationPlan, RelationshipQuery, RepositoryConfig, TableRepository};
+use joinmi::estimators::{estimate_mi, Variable, DEFAULT_K};
 use joinmi::prelude::*;
-use joinmi::sketch::JoinedSketch;
 use joinmi::synth::TaxiScenario;
 use joinmi::table::{augment, AugmentSpec};
 
@@ -29,10 +29,8 @@ fn full_join_mi(
         .collect();
     let x_dtype = joined.table.column(&feature_col).expect("column").dtype();
     let y_dtype = joined.table.column(target).expect("column").dtype();
-    JoinedSketch::from_pairs(xs, ys, x_dtype, y_dtype)
-        .estimate_mi()
-        .expect("estimate")
-        .mi
+    let (x, y) = Variable::from_pairs(&xs, &ys, x_dtype, y_dtype).expect("typed columns");
+    estimate_mi(&x, &y, DEFAULT_K).expect("estimate").mi
 }
 
 #[test]

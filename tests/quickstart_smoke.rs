@@ -86,12 +86,14 @@ fn quickstart_path_estimates_mi_close_to_full_join() {
     let ys: Vec<Value> = (0..full.table.num_rows())
         .map(|i| full.table.value(i, "num_trips").expect("target value"))
         .collect();
-    let full_joined = joinmi::sketch::JoinedSketch::from_pairs(
-        xs,
-        ys,
+    let (x, y) = joinmi::estimators::Variable::from_pairs(
+        &xs,
+        &ys,
         joinmi::table::DataType::Float,
         joinmi::table::DataType::Int,
-    );
+    )
+    .expect("numeric columns");
+    let full_joined = joinmi::sketch::JoinedSketch::from_variables(x, y);
     let full_estimate = full_joined.estimate_mi().expect("full-join MI estimate");
     assert!(full_estimate.mi.is_finite());
     assert!(
