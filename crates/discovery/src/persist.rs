@@ -61,12 +61,11 @@
 //!   INDEX_DELTA       ordered postings deltas (removed / added / sizes)
 //! ```
 //!
-//! v1 files (pre-append format) and v2 files (appendable, but without
-//! distinct sketches or the sealed flag) still load; appending *to* them on
-//! disk is rejected with a typed error until a re-save or
-//! [`TableRepository::compact`] upgrades them to v3. Earlier readers reject
-//! v3 files cleanly via the version check — the bump exists precisely so an
-//! old binary never misparses a new section as trailing garbage.
+//! v3 is the only readable repository layout: a v1 or v2 header is rejected
+//! with a typed [`StoreError::UnsupportedVersion`] asking for a re-ingest.
+//! Earlier readers reject v3 files cleanly via the version check — the bump
+//! exists precisely so an old binary never misparses a new section as
+//! trailing garbage.
 //!
 //! The byte-level specification of all of the above lives in
 //! `docs/FORMAT.md` at the repository root.
@@ -80,7 +79,7 @@ use joinmi_sketch::persist::{aggregation_from_tag, aggregation_tag, dtype_from_t
 use joinmi_sketch::{incremental, ColumnSketch, DistinctSketch, RightSketchBuilder, SketchConfig};
 use joinmi_store::{
     read_header, scan_section, write_header, ArtifactKind, GroupGrammar, Reader, RecoveryReport,
-    Result, SectionBuilder, StoreError, Writer,
+    Result, SectionBuilder, StoreError, Writer, FORMAT_VERSION,
 };
 
 use crate::index::{IndexDelta, JoinabilityIndex};
@@ -95,15 +94,15 @@ pub const SECTION_PROFILES: u8 = 0x11;
 pub const SECTION_INDEX: u8 = 0x12;
 /// Section tag: one candidate column (identity + embedded sketch).
 pub const SECTION_CANDIDATE: u8 = 0x13;
-/// Section tag: one candidate's incremental-builder state (v2).
+/// Section tag: one candidate's incremental-builder state.
 pub const SECTION_CANDIDATE_STATE: u8 = 0x14;
-/// Section tag: header of one append group (v2).
+/// Section tag: header of one append group.
 pub const SECTION_APPEND_META: u8 = 0x15;
-/// Section tag: one updated candidate inside an append group (v2).
+/// Section tag: one updated candidate inside an append group.
 pub const SECTION_CANDIDATE_UPDATE: u8 = 0x16;
-/// Section tag: the ordered index deltas of one append group (v2).
+/// Section tag: the ordered index deltas of one append group.
 pub const SECTION_INDEX_DELTA: u8 = 0x17;
-/// Section tag: per-column bounded distinct sketches (v3).
+/// Section tag: per-column bounded distinct sketches.
 pub const SECTION_FEATURE_DISTINCT: u8 = 0x18;
 
 /// The v2 repository append-group grammar for the structural repair scanner
@@ -170,9 +169,8 @@ fn write_profiles<W: Write>(w: &mut Writer<W>, profiles: &[TableProfile]) -> Res
 }
 
 /// Encodes the per-column distinct sketches (shared by the FEATURE_DISTINCT
-/// section and the refreshed block inside v3 APPEND_META payloads). Each
-/// column carries a presence byte so columns loaded from pre-v3 files (no
-/// sketch) survive a re-save.
+/// section and the refreshed block inside APPEND_META payloads). Each column
+/// carries a presence byte, so a column without a sketch survives a re-save.
 fn encode_distincts(
     p: &mut Writer<Vec<u8>>,
     distincts: &[Vec<Option<DistinctSketch>>],
@@ -272,15 +270,6 @@ fn decode_distincts<R: Read>(
     Ok(distincts)
 }
 
-/// The all-`None` distinct-sketch shape for pre-v3 files: counts stay at
-/// their last fully-profiled values.
-fn absent_distincts(profiles: &[TableProfile]) -> Vec<Vec<Option<DistinctSketch>>> {
-    profiles
-        .iter()
-        .map(|profile| vec![None; profile.columns.len()])
-        .collect()
-}
-
 fn write_index<W: Write>(w: &mut Writer<W>, index: &JoinabilityIndex) -> Result<()> {
     let (postings, sizes) = index.canonical_parts();
     let mut section = SectionBuilder::new();
@@ -321,8 +310,8 @@ fn write_candidate<W: Write>(w: &mut Writer<W>, candidate: &CandidateColumn) -> 
 }
 
 /// Writes one CANDIDATE_STATE section: a presence flag plus the serialized
-/// builder. A missing builder (candidate loaded from a v1 file) writes the
-/// flag alone, keeping the section structure uniform.
+/// builder. A missing builder (a candidate loaded from a sealed file) writes
+/// the flag alone, keeping the section structure uniform.
 fn write_candidate_state<W: Write>(
     w: &mut Writer<W>,
     builder: Option<&RightSketchBuilder>,
@@ -378,7 +367,21 @@ struct RepoMeta {
     sealed: bool,
 }
 
-fn read_repo_meta(payload: &[u8], version: u16) -> Result<RepoMeta> {
+/// Reads a repository file header. Only the current layout is readable: a v1
+/// or v2 file predates the builder state, distinct sketches and sealed flag,
+/// so it is rejected with a typed error asking for a re-ingest.
+fn read_repo_header<R: Read>(r: &mut Reader<R>) -> Result<()> {
+    let version = read_header(r, ArtifactKind::Repository)?;
+    if version != FORMAT_VERSION {
+        return Err(StoreError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
+    }
+    Ok(())
+}
+
+fn read_repo_meta(payload: &[u8]) -> Result<RepoMeta> {
     let mut m = Reader::new(payload);
     let sketch_kind = joinmi_sketch::persist::sketch_kind_from_tag(m.read_u8("repo sketch kind")?)?;
     let size = m.read_len("repo sketch size")?;
@@ -386,19 +389,14 @@ fn read_repo_meta(payload: &[u8], version: u16) -> Result<RepoMeta> {
     let max_pairs_per_table = m.read_len("repo max pairs per table")?;
     let num_tables = m.read_len("repo table count")?;
     let num_candidates = m.read_len("repo candidate count")?;
-    // v3 trailer; pre-v3 files had no distinct sketches and cannot be sealed.
-    let (distinct_sketch_size, sealed) = if version >= 3 {
-        let capacity = m.read_len("repo distinct sketch size")?;
-        let flags = m.read_u8("repo flags")?;
-        if flags & !META_FLAG_SEALED != 0 {
-            return Err(StoreError::corrupt(format!(
-                "unknown repository flag bits {flags:#04x}"
-            )));
-        }
-        (capacity, flags & META_FLAG_SEALED != 0)
-    } else {
-        (RepositoryConfig::default().distinct_sketch_size, false)
-    };
+    let distinct_sketch_size = m.read_len("repo distinct sketch size")?;
+    let flags = m.read_u8("repo flags")?;
+    if flags & !META_FLAG_SEALED != 0 {
+        return Err(StoreError::corrupt(format!(
+            "unknown repository flag bits {flags:#04x}"
+        )));
+    }
+    let sealed = flags & META_FLAG_SEALED != 0;
     if !m.into_inner().is_empty() {
         return Err(StoreError::corrupt("trailing bytes in REPO_META section"));
     }
@@ -678,7 +676,8 @@ impl TableRepository {
     /// The target must be the v3 artifact this repository's base state came
     /// from (header and REPO_META are verified; appending to a mismatched,
     /// pre-v3, or sealed file is rejected before any byte is written — with
-    /// [`StoreError::Sealed`] for the sealed case). A no-op when nothing
+    /// [`StoreError::UnsupportedVersion`] for a pre-v3 file and
+    /// [`StoreError::Sealed`] for a sealed one). A no-op when nothing
     /// changed. On success the pending log is cleared, so consecutive
     /// appends produce consecutive groups.
     ///
@@ -700,15 +699,9 @@ impl TableRepository {
         {
             let file = joinmi_store::fault::open_read(&path)?;
             let mut r = Reader::new(std::io::BufReader::new(file));
-            let version = read_header(&mut r, ArtifactKind::Repository)?;
-            if version < 3 {
-                return Err(StoreError::corrupt(format!(
-                    "cannot append to a v{version} repository file (append groups need the v3 \
-                     distinct-sketch layout); re-save or compact it to upgrade"
-                )));
-            }
+            read_repo_header(&mut r)?;
             let meta_payload = joinmi_store::read_section(&mut r, SECTION_REPO_META)?;
-            let meta = read_repo_meta(&meta_payload, version)?;
+            let meta = read_repo_meta(&meta_payload)?;
             if meta.sealed {
                 return Err(StoreError::Sealed {
                     operation: "appending a group to a sealed repository file",
@@ -774,8 +767,8 @@ impl TableRepository {
 
     /// Loads a repository saved by [`Self::save`], decoding every candidate
     /// eagerly. The result is a *sketch-only* repository: it answers queries
-    /// bit-identically to the original and — for v2 artifacts — accepts
-    /// [`Self::append_rows`], but holds no raw tables, so new-table ingest
+    /// bit-identically to the original and — unless the file is sealed —
+    /// accepts [`Self::append_rows`], but holds no raw tables, so new-table ingest
     /// and [`AugmentationPlan::materialize`](crate::AugmentationPlan) are
     /// rejected with typed errors.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<TableRepository> {
@@ -901,7 +894,7 @@ impl TableRepository {
     /// pre-append read profile, at the price that further appends are
     /// rejected with typed `Sealed` errors. Compacting an already-sealed or
     /// already-flat file is a valid no-op-shaped rewrite (it reproduces the
-    /// canonical bytes); pre-v3 files are upgraded to v3.
+    /// canonical bytes).
     ///
     /// Crash semantics: the new image is written to a sibling temp file,
     /// fsynced, **read back and verified to open**, then atomically renamed
@@ -995,7 +988,7 @@ struct LazyCandidate {
     /// already verified at open). For a candidate refreshed by an append
     /// group this points at the latest CANDIDATE_UPDATE body.
     payload: Range<usize>,
-    /// Byte range of the serialized builder state, when present (v2).
+    /// Byte range of the serialized builder state, when present.
     state: Option<Range<usize>>,
     cell: OnceLock<CandidateColumn>,
 }
@@ -1033,15 +1026,15 @@ impl RepositorySnapshot {
     pub fn from_bytes(buf: Vec<u8>) -> Result<Self> {
         // Header (8 bytes) via the streaming reader, then section scanning.
         let mut header = Reader::new(buf.as_slice());
-        let version = read_header(&mut header, ArtifactKind::Repository)?;
+        read_repo_header(&mut header)?;
         let mut pos = 8usize;
 
         let meta_range = scan_section(&buf, &mut pos, SECTION_REPO_META)?;
-        let meta = read_repo_meta(&buf[meta_range], version)?;
+        let meta = read_repo_meta(&buf[meta_range])?;
         let profiles_range = scan_section(&buf, &mut pos, SECTION_PROFILES)?;
         let mut profiles = read_profiles(&buf[profiles_range], meta.num_tables)?;
-        let mut distincts = if version >= 3 {
-            let distincts_range = scan_section(&buf, &mut pos, SECTION_FEATURE_DISTINCT)?;
+        let distincts_range = scan_section(&buf, &mut pos, SECTION_FEATURE_DISTINCT)?;
+        let mut distincts = {
             let mut p = Reader::new(&buf[distincts_range]);
             let decoded = decode_distincts(&mut p, &profiles)?;
             if !p.into_inner().is_empty() {
@@ -1050,8 +1043,6 @@ impl RepositorySnapshot {
                 ));
             }
             decoded
-        } else {
-            absent_distincts(&profiles)
         };
         let index_range = scan_section(&buf, &mut pos, SECTION_INDEX)?;
         let mut index = read_index(&buf[index_range], meta.num_candidates)?;
@@ -1065,8 +1056,8 @@ impl RepositorySnapshot {
             // of panicking at first access.
             validate_candidate_body(&buf[payload.clone()], meta.num_tables)?;
             // Sealed files carry no builder state at all (that is the point
-            // of sealing); appendable v2+ files carry one per candidate.
-            let state = if version >= 2 && !meta.sealed {
+            // of sealing); appendable files carry one per candidate.
+            let state = if !meta.sealed {
                 let state_payload = scan_section(&buf, &mut pos, SECTION_CANDIDATE_STATE)?;
                 validate_state_payload(&buf[state_payload.clone()])?
                     .then(|| state_payload.start + 1..state_payload.end)
@@ -1087,20 +1078,16 @@ impl RepositorySnapshot {
             ));
         }
 
-        // Append groups (v2+): replace updated candidates' payload ranges,
-        // replay index deltas, adopt refreshed profiles + distinct sketches.
+        // Append groups: replace updated candidates' payload ranges, replay
+        // index deltas, adopt refreshed profiles + distinct sketches.
         let mut append_groups = 0usize;
-        while version >= 2 && pos < buf.len() {
+        while pos < buf.len() {
             let meta_payload = scan_section(&buf, &mut pos, SECTION_APPEND_META)?;
             let (updated_count, new_profiles, new_distincts) = {
                 let mut p = Reader::new(&buf[meta_payload.clone()]);
                 let updated = p.read_len("append group update count")?;
                 let profiles = decode_profiles(&mut p, meta.num_tables, meta_payload.len())?;
-                let distincts = if version >= 3 {
-                    Some(decode_distincts(&mut p, &profiles)?)
-                } else {
-                    None
-                };
+                let distincts = decode_distincts(&mut p, &profiles)?;
                 if !p.into_inner().is_empty() {
                     return Err(StoreError::corrupt("trailing bytes in APPEND_META section"));
                 }
@@ -1127,9 +1114,7 @@ impl RepositorySnapshot {
                 index.apply_delta(&delta);
             }
             profiles = new_profiles;
-            if let Some(new_distincts) = new_distincts {
-                distincts = new_distincts;
-            }
+            distincts = new_distincts;
             append_groups += 1;
         }
         if pos != buf.len() {
@@ -1968,7 +1953,7 @@ mod tests {
     #[test]
     fn append_to_rejects_pre_v3_targets() {
         // A v2 target (no distinct sketches) must be rejected with the
-        // upgrade hint, not extended with mixed-format groups.
+        // re-ingest hint, not extended with mixed-format groups.
         let (mut repo, _, tail) = scenario_with_split(8);
         let path =
             std::env::temp_dir().join(format!("joinmi-append-v2-{}.jmi", std::process::id()));
@@ -1983,8 +1968,11 @@ mod tests {
         repo.append_rows(&tail).unwrap();
         let err = repo.append_to(&path).expect_err("v2 target");
         match err {
-            StoreError::Corrupt(msg) => assert!(msg.contains("compact"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+            StoreError::UnsupportedVersion {
+                found: 2,
+                supported: 3,
+            } => assert!(err.to_string().contains("re-ingest"), "{err}"),
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -18,7 +18,9 @@ pub enum StoreError {
         /// The bytes actually found where the magic was expected.
         found: [u8; 4],
     },
-    /// The file was written by a format version this library cannot read.
+    /// The file was written by a format version this library cannot read:
+    /// a newer one, or a retired repository layout (v1/v2), whose only
+    /// remedy is to re-ingest the source tables.
     UnsupportedVersion {
         /// Version recorded in the file header.
         found: u16,
@@ -82,9 +84,14 @@ impl fmt::Display for StoreError {
             Self::BadMagic { found } => {
                 write!(f, "not a joinmi store file (magic bytes {found:02x?})")
             }
-            Self::UnsupportedVersion { found, supported } => write!(
+            Self::UnsupportedVersion { found, supported } if found > supported => write!(
                 f,
                 "store format version {found} is newer than the supported version {supported}"
+            ),
+            Self::UnsupportedVersion { found, supported } => write!(
+                f,
+                "store format version {found} is no longer readable (this library reads version \
+                 {supported}); re-ingest the source tables to rebuild the repository"
             ),
             Self::WrongArtifact { expected, found } => write!(
                 f,
@@ -152,6 +159,11 @@ mod tests {
             supported: 1,
         };
         assert!(e.to_string().contains("version 9"));
+        let e = StoreError::UnsupportedVersion {
+            found: 2,
+            supported: 3,
+        };
+        assert!(e.to_string().contains("re-ingest"), "{e}");
         let e = StoreError::ChecksumMismatch {
             section: 3,
             expected: 1,

@@ -23,33 +23,19 @@ pub const MAGIC: [u8; 4] = *b"JMIS";
 
 /// Current (highest understood) format version.
 ///
-/// * **v1** — the original repository layout: REPO_META, PROFILES, INDEX,
-///   one CANDIDATE section per candidate, end of file.
-/// * **v2** — the appendable layout: every CANDIDATE is followed by a
-///   CANDIDATE_STATE section carrying its incremental-builder state, and the
-///   base payload may be followed by append groups (APPEND_META, updated
-///   candidates, INDEX_DELTA) written by `TableRepository::append_to`
-///   without rewriting the file. v1 readers reject v2 files cleanly with
-///   [`StoreError::UnsupportedVersion`]; v2 readers still accept v1 files
-///   (whose candidates are simply not appendable).
-/// * **v3** — the compactable layout: REPO_META gains the per-column
-///   distinct-sketch capacity and a flags byte (bit 0 = **sealed**), a
-///   FEATURE_DISTINCT section after PROFILES carries one bounded KMV
-///   distinct sketch per profiled column, and every APPEND_META payload
-///   carries the refreshed sketches alongside the refreshed profiles.
-///   Sealed files are flat (no append groups, no builder state) and reject
-///   appends with [`StoreError::Sealed`]. Earlier readers reject v3 files
-///   via the version check; v3 readers still accept v1 and v2 files.
+/// Repository artifacts are read at exactly this version: the v3 layout
+/// (appendable, compactable, with per-column distinct sketches and a sealed
+/// flag) is the only one readers accept, and v1/v2 repository headers are
+/// rejected with [`StoreError::UnsupportedVersion`] (re-ingest). Standalone
+/// sketch artifacts are still stamped [`FORMAT_VERSION_V1`], since their wire
+/// format never changed.
 ///
 /// The full byte-level specification lives in `docs/FORMAT.md`.
 pub const FORMAT_VERSION: u16 = 3;
 
-/// The last pre-append format version (see [`FORMAT_VERSION`]).
+/// The version standalone sketch artifacts are written at (see
+/// [`FORMAT_VERSION`]).
 pub const FORMAT_VERSION_V1: u16 = 1;
-
-/// The last pre-compaction format version — appendable, but without
-/// per-column distinct sketches or the sealed flag (see [`FORMAT_VERSION`]).
-pub const FORMAT_VERSION_V2: u16 = 2;
 
 /// What a store file holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +75,7 @@ pub fn write_header<W: Write>(w: &mut Writer<W>, kind: ArtifactKind) -> Result<(
 
 /// Writes the 8-byte file header with an explicit version — for artifact
 /// kinds whose wire format did not change in a bump (standalone sketches are
-/// still written as v1 so pre-v2 readers keep reading them).
+/// still written as v1).
 pub fn write_header_with_version<W: Write>(
     w: &mut Writer<W>,
     kind: ArtifactKind,

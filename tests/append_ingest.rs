@@ -159,7 +159,7 @@ fn corrupt_append_section_is_a_typed_error_never_a_panic() {
 }
 
 #[test]
-fn v1_files_still_load_but_reject_appends() {
+fn pre_v3_repository_files_are_rejected_with_a_reingest_error() {
     // Synthesize a v1 artifact from a v3 one: strip the v3 REPO_META trailer
     // (distinct-sketch capacity + flags byte), drop the FEATURE_DISTINCT and
     // CANDIDATE_STATE sections, and patch the header version. This is
@@ -202,16 +202,33 @@ fn v1_files_still_load_but_reject_appends() {
         joinmi::store::scan_section(&v3, &mut pos, SECTION_CANDIDATE_STATE).unwrap();
     }
 
-    let mut loaded = TableRepository::load_from(v1.as_slice()).unwrap();
-    assert!(!loaded.is_appendable());
-    assert_eq!(loaded.candidates().len(), repo.candidates().len());
-    for (a, b) in loaded.candidates().iter().zip(repo.candidates()) {
-        assert_eq!(a.sketch, b.sketch);
+    // A v2 header over the v3 payload: the version gate fires first.
+    let mut v2 = v3.clone();
+    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+
+    for (version, bytes) in [(1u16, v1), (2, v2)] {
+        for err in [
+            TableRepository::load_from(bytes.as_slice()).expect_err("pre-v3 load"),
+            joinmi::prelude::RepositorySnapshot::from_bytes(bytes).expect_err("pre-v3 open"),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    StoreError::UnsupportedVersion { found, supported: 3 } if found == version
+                ),
+                "v{version}: {err:?}"
+            );
+            assert!(err.to_string().contains("re-ingest"), "{err}");
+        }
     }
-    let err = loaded
-        .append_rows(&corpus_table("cand", 220).slice_rows(200..220))
-        .expect_err("v1-loaded repositories cannot absorb appends");
-    assert!(matches!(err, joinmi::table::TableError::Unsupported(_)));
+    // The v3 original still loads.
+    assert_eq!(
+        TableRepository::load_from(v3.as_slice())
+            .unwrap()
+            .candidates()
+            .len(),
+        repo.candidates().len()
+    );
 }
 
 proptest! {
