@@ -691,14 +691,7 @@ fn cmd_compare(args: &[String]) -> i32 {
         max_regression * 100.0
     );
     for c in &report.checked {
-        println!(
-            "  {:<40} {:>12.0} -> {:>12.0} ns  x{:.3}  {}",
-            c.name,
-            c.baseline,
-            c.current,
-            c.ratio,
-            if c.regressed { "REGRESSED" } else { "ok" }
-        );
+        println!("  {}", c.render_line());
     }
     for s in &report.skipped {
         println!("  skipped: {s}");

@@ -139,6 +139,33 @@ pub struct ComparisonReport {
     pub new_benches: Vec<String>,
 }
 
+impl BenchComparison {
+    /// One report line: wall-time medians print in nanoseconds, speedup
+    /// medians (see [`higher_is_better`]) as `x` ratios.
+    #[must_use]
+    pub fn render_line(&self) -> String {
+        let (baseline, current, unit) = if higher_is_better(&self.name) {
+            (
+                format!("x{:.3}", self.baseline),
+                format!("x{:.3}", self.current),
+                "  ",
+            )
+        } else {
+            (
+                format!("{:.0}", self.baseline),
+                format!("{:.0}", self.current),
+                "ns",
+            )
+        };
+        format!(
+            "{:<40} {baseline:>12} -> {current:>12} {unit}  x{:.3}  {}",
+            self.name,
+            self.ratio,
+            if self.regressed { "REGRESSED" } else { "ok" }
+        )
+    }
+}
+
 impl ComparisonReport {
     /// Returns `true` if any checked median regressed beyond the threshold.
     #[must_use]
@@ -215,8 +242,14 @@ pub fn compare_quick_bench(
             if lookup(current, name).is_none() {
                 return Err(format!("current quick-bench JSON is missing `{name}`"));
             }
+            let side = match (baseline_cores > 1.0, current_cores > 1.0) {
+                (false, false) => "both hosts are",
+                (false, true) => "the baseline host is",
+                _ => "the current host is",
+            };
             report.skipped.push(format!(
-                "{name}: host has 1 core (baseline {baseline_cores}, current {current_cores})"
+                "{name}: {side} single-core (baseline {baseline_cores} cores, current \
+                 {current_cores})"
             ));
         }
     }
@@ -419,5 +452,49 @@ mod tests {
             .new_benches
             .iter()
             .any(|n| n.contains("mle_on_sketch_join")));
+    }
+
+    #[test]
+    fn report_lines_print_speedups_as_ratios_and_times_in_ns() {
+        let speedup = BenchComparison {
+            name: "cache/estimate_hit_speedup".to_owned(),
+            baseline: 3.2,
+            current: 3.0,
+            ratio: 3.0 / 3.2,
+            regressed: false,
+        };
+        let line = speedup.render_line();
+        assert!(line.contains("x3.200 ->"), "{line}");
+        assert!(line.contains("x3.000"), "{line}");
+        assert!(!line.contains("ns"), "{line}");
+
+        let wall = BenchComparison {
+            name: "sketch_join/tupsk_n256".to_owned(),
+            baseline: 1500.0,
+            current: 2000.0,
+            ratio: 2000.0 / 1500.0,
+            regressed: true,
+        };
+        let line = wall.render_line();
+        assert!(line.contains("1500 ->"), "{line}");
+        assert!(line.contains("2000 ns"), "{line}");
+        assert!(line.contains("x1.333  REGRESSED"), "{line}");
+    }
+
+    #[test]
+    fn skip_lines_name_the_single_core_side() {
+        let skip_reason = |baseline_cores: f64, current_cores: f64| {
+            let mut baseline = complete_current(100.0);
+            baseline.push((HOST_PARALLELISM_KEY.to_owned(), baseline_cores));
+            let mut current = complete_current(100.0);
+            current.push((HOST_PARALLELISM_KEY.to_owned(), current_cores));
+            let report = compare_quick_bench(&baseline, &current, 0.25).unwrap();
+            report.skipped[0].clone()
+        };
+        assert!(skip_reason(1.0, 2.0).contains("the baseline host is single-core"));
+        assert!(skip_reason(2.0, 1.0).contains("the current host is single-core"));
+        assert!(skip_reason(1.0, 1.0).contains("both hosts are single-core"));
+        let line = skip_reason(2.0, 1.0);
+        assert!(line.contains("baseline 2 cores, current 1"), "{line}");
     }
 }
