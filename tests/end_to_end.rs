@@ -185,3 +185,97 @@ fn csv_round_trip_feeds_the_sketch_pipeline() {
         "sketches must be identical after a CSV round trip"
     );
 }
+
+/// A candidate source that swaps one candidate's sketch for a tampered copy,
+/// as a corrupted-but-checksummed store could hand the query engine.
+struct TamperedSource<'a> {
+    repo: &'a TableRepository,
+    index: usize,
+    tampered: joinmi::discovery::CandidateColumn,
+}
+
+impl joinmi::discovery::CandidateSource for TamperedSource<'_> {
+    fn candidate_count(&self) -> usize {
+        self.repo.candidate_count()
+    }
+
+    fn candidate(&self, index: usize) -> &joinmi::discovery::CandidateColumn {
+        if index == self.index {
+            &self.tampered
+        } else {
+            self.repo.candidate(index)
+        }
+    }
+
+    fn joinability(&self) -> &joinmi::discovery::JoinabilityIndex {
+        self.repo.joinability()
+    }
+}
+
+#[test]
+fn non_numeric_value_in_a_numeric_sketch_skips_only_that_candidate() {
+    // The sketch decoder does not check per-row dtypes, so a string can sit
+    // in a numeric sketch column. Its join yields a typed IncompatibleTypes
+    // error; the query skips the candidate and ranks the rest unchanged.
+    use joinmi::discovery::CandidateSource;
+    let repo = joinmi_bench::corpus::build_repository(600);
+    let query = joinmi_bench::corpus::standard_query(600);
+    let clean = query.execute(&repo).unwrap();
+    let victim = clean[0].candidate_index;
+
+    let mut tampered = repo.candidate(victim).clone();
+    let original = &tampered.sketch;
+    assert_ne!(original.value_dtype(), DataType::Str);
+    let mut rows = original.rows().to_vec();
+    rows[0].value = Value::from("not-a-number");
+    tampered.sketch = ColumnSketch::new(
+        original.kind(),
+        original.side(),
+        rows,
+        original.value_dtype(),
+        original.source_rows(),
+        original.source_distinct_keys(),
+        *original.config(),
+    );
+    let left = SketchKind::Tupsk
+        .build_left(
+            &joinmi_bench::corpus::query_table(600),
+            "key",
+            "target",
+            &SketchConfig::new(512, 3),
+        )
+        .unwrap();
+    let err = left.join(&tampered.sketch).variables().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            joinmi::estimators::EstimatorError::IncompatibleTypes { .. }
+        ),
+        "{err:?}"
+    );
+
+    let source = TamperedSource {
+        repo: &repo,
+        index: victim,
+        tampered,
+    };
+    for confident in [false, true] {
+        let q = if confident {
+            query.clone().with_confidence(0.95)
+        } else {
+            query.clone()
+        };
+        let expected: Vec<_> = q
+            .execute(&repo)
+            .unwrap()
+            .into_iter()
+            .filter(|c| c.candidate_index != victim)
+            .collect();
+        let ranking = q.execute(&source).unwrap();
+        assert_eq!(ranking.len(), expected.len());
+        for (a, b) in ranking.iter().zip(&expected) {
+            assert_eq!(a.candidate_index, b.candidate_index);
+            assert_eq!(a.mi.to_bits(), b.mi.to_bits());
+        }
+    }
+}
