@@ -18,6 +18,24 @@
 //! materialized join (the exact baseline) or the small samples recovered from
 //! sketch joins. MI is reported in **nats** (natural logarithm) throughout,
 //! matching the paper's synthetic benchmark construction.
+//!
+//! # Samples and counts
+//!
+//! A column sample reaches the estimators once, as a [`Variable`]: string
+//! columns as first-seen `u32` codes, numeric columns as `f64` coordinates
+//! ([`VariableEncoder`] does the encoding, and the sketch join calls it
+//! while it matches rows). Each estimator then borrows the form it needs:
+//!
+//! * [`Variable::codes`] lends discrete codes as they are and groups
+//!   continuous coordinates by exact bit pattern (the MLE coercion);
+//! * [`Variable::as_continuous`] lends coordinates as they are and widens
+//!   codes to floats (the KSG-family coercion).
+//!
+//! The discrete estimators — [`mle_mi`], [`smoothed_mle_mi`] and the
+//! Hutter–Zaffalon posterior [`mi_posterior`] — all read one
+//! [`Contingency`] table, the only place joint and marginal counts are
+//! built. Its deterministic maps fix the order of every float sum, so the
+//! estimates are bit-for-bit reproducible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -142,6 +142,7 @@ impl Json {
     /// Parses a complete JSON document, rejecting trailing garbage.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -210,6 +211,9 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    /// The document; `pos` only ever advances over whole characters, so it
+    /// always sits on a char boundary of `text`.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -327,8 +331,7 @@ impl Parser<'_> {
         }
     }
 
-    // Infallible expects below: the input arrived as a &str, so any
-    // non-ASCII tail is valid UTF-8 and non-empty at this point.
+    // Infallible expect below: `pos` is a char boundary short of the end.
     #[allow(clippy::expect_used)]
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
@@ -393,10 +396,9 @@ impl Parser<'_> {
                     return Err(JsonError::at(self.pos, "control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so always valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one scalar in O(1): re-validating the rest of
+                    // the document per character would make parsing O(n²).
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -524,6 +526,20 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(40) + &"]".repeat(40);
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn raw_multibyte_characters_decode_in_place() {
+        let text = "[\"zürich\", \"東京\", \"🦀x\", \"a\\né\"]";
+        assert_eq!(
+            Json::parse(text).unwrap(),
+            Json::Arr(vec![
+                Json::Str("zürich".into()),
+                Json::Str("東京".into()),
+                Json::Str("🦀x".into()),
+                Json::Str("a\né".into()),
+            ])
+        );
     }
 
     #[test]
