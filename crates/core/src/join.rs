@@ -109,22 +109,10 @@ impl JoinedSketch {
         self.pair.clone()
     }
 
-    /// The estimator that the data-type rule would select for this sample.
-    pub fn selected_estimator(&self) -> Result<EstimatorKind, EstimatorError> {
-        let (x, y) = self.sample()?;
-        Ok(select_estimator(x, y))
-    }
-
     /// Estimates `I(X; Y)` from the recovered pairs with the automatically
     /// selected estimator and the default `k`.
     pub fn estimate_mi(&self) -> Result<MiEstimate, EstimatorError> {
-        self.estimate_mi_with_k(DEFAULT_K)
-    }
-
-    /// Estimates MI with the automatically selected estimator and a custom
-    /// neighbour count `k` for the KSG-family estimators.
-    pub fn estimate_mi_with_k(&self, k: usize) -> Result<MiEstimate, EstimatorError> {
-        self.estimate_mi_in(&mut EstimatorWorkspace::new(), k)
+        self.estimate_mi_in(&mut EstimatorWorkspace::new(), DEFAULT_K)
     }
 
     /// Estimates MI with the automatically selected estimator against a
@@ -326,11 +314,9 @@ mod tests {
             DataType::Float,
             right_rows,
         ));
-        assert_eq!(
-            joined.selected_estimator().unwrap(),
-            EstimatorKind::MixedKsg
-        );
-        assert!(joined.estimate_mi().unwrap().mi > 0.5);
+        let est = joined.estimate_mi().unwrap();
+        assert_eq!(est.estimator, EstimatorKind::MixedKsg);
+        assert!(est.mi > 0.5);
 
         let right_str: Vec<(u64, Value)> = (0..n)
             .map(|i| (i, Value::from(format!("cat{}", i % 8))))
@@ -343,7 +329,6 @@ mod tests {
             DataType::Str,
             right_str,
         ));
-        assert_eq!(joined.selected_estimator().unwrap(), EstimatorKind::Mle);
         let est = joined.estimate_mi().unwrap();
         assert_eq!(est.estimator, EstimatorKind::Mle);
         assert!((est.mi - 8.0_f64.ln()).abs() < 1e-9);

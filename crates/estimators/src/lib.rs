@@ -21,26 +21,17 @@
 //!
 //! # Samples and counts
 //!
-//! A column sample reaches the estimators once, as a [`Variable`]: string
-//! columns as first-seen `u32` codes, numeric columns as `f64` coordinates
-//! ([`VariableEncoder`] does the encoding, and the sketch join calls it
-//! while it matches rows). Each estimator then borrows the form it needs:
-//!
-//! * [`Variable::codes`] lends discrete codes as they are and groups
-//!   continuous coordinates by exact bit pattern (the MLE coercion);
-//! * [`Variable::as_continuous`] lends coordinates as they are and widens
-//!   codes to floats (the KSG-family coercion).
-//!
-//! The discrete estimators — [`mle_mi`], [`smoothed_mle_mi`] and the
-//! Hutter–Zaffalon posterior [`mi_posterior`] — all read one
-//! [`Contingency`] table, the only place joint and marginal counts are
-//! built. Its deterministic maps fix the order of every float sum, so the
-//! estimates are bit-for-bit reproducible.
+//! A column sample reaches the estimators once, as a [`Variable`] built by
+//! [`VariableEncoder`] (strings → first-seen `u32` codes, numerics → `f64`).
+//! Estimators borrow the form they need: [`Variable::codes`] groups
+//! coordinates by exact bit pattern, [`Variable::as_continuous`] widens
+//! codes to floats. [`mle_mi`], [`smoothed_mle_mi`] and [`mi_posterior`]
+//! all read one [`Contingency`] table, the only place joint and marginal
+//! counts are built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod contingency;
 pub mod correlation;
 pub mod dc_ksg;
 pub mod entropy;
@@ -56,18 +47,16 @@ pub mod special;
 pub mod variable;
 pub mod workspace;
 
-pub use contingency::Contingency;
 pub use correlation::{pearson, spearman};
 pub use dc_ksg::{dc_ksg_mi, dc_ksg_mi_with};
 pub use entropy::{knn_entropy_1d, miller_madow_entropy, mle_entropy};
 pub use error::EstimatorError;
 pub use ksg::{ksg_mi, ksg_mi_with};
 pub use mixed_ksg::{mixed_ksg_mi, mixed_ksg_mi_with};
-pub use mle::{mle_mi, mle_mi_bias, smoothed_mle_mi};
+pub use mle::{mle_mi, mle_mi_bias, smoothed_mle_mi, Contingency};
 pub use perturb::{perturb_ties, perturb_ties_with};
 pub use posterior::{
-    credible_interval, mi_interval, mi_posterior, mi_posterior_vars, normal_quantile, MiInterval,
-    MiPosterior,
+    credible_interval, mi_interval, mi_posterior, normal_quantile, MiInterval, MiPosterior,
 };
 pub use select::{
     estimate_mi, estimate_mi_with_workspace, select_estimator, EstimatorKind, MiEstimate,

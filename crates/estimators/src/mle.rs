@@ -2,9 +2,69 @@
 //! variable pairs, plus the Laplace-smoothed variant mentioned in the paper's
 //! conclusion and the first-order bias formula (Eq. 6).
 
-use crate::contingency::Contingency;
+use joinmi_hash::FixedHashMap;
+
 use crate::error::EstimatorError;
 use crate::Result;
+
+/// Joint and marginal counts of a paired sample of integer codes, built in
+/// one pass: the one table behind [`mle_mi`], [`smoothed_mle_mi`] and
+/// [`crate::posterior::mi_posterior`].
+///
+/// The counts live in deterministically seeded maps filled in sample order,
+/// so the cells iterate in a fixed order and every float sum over them is
+/// bit-for-bit reproducible across runs and parallel/sequential replays.
+#[derive(Debug, Clone)]
+pub struct Contingency {
+    n: usize,
+    joint: FixedHashMap<(u32, u32), f64>,
+    px: FixedHashMap<u32, f64>,
+    py: FixedHashMap<u32, f64>,
+}
+
+impl Contingency {
+    /// Counts the paired sample `(x[i], y[i])`; fails on unaligned or empty
+    /// samples.
+    pub fn new(x: &[u32], y: &[u32]) -> Result<Self> {
+        if x.len() != y.len() {
+            return Err(EstimatorError::LengthMismatch {
+                x_len: x.len(),
+                y_len: y.len(),
+            });
+        }
+        if x.is_empty() {
+            return Err(EstimatorError::InsufficientSamples {
+                available: 0,
+                required: 1,
+            });
+        }
+        let mut table = Self {
+            n: x.len(),
+            joint: FixedHashMap::default(),
+            px: FixedHashMap::default(),
+            py: FixedHashMap::default(),
+        };
+        for (&a, &b) in x.iter().zip(y) {
+            *table.joint.entry((a, b)).or_default() += 1.0;
+            *table.px.entry(a).or_default() += 1.0;
+            *table.py.entry(b).or_default() += 1.0;
+        }
+        Ok(table)
+    }
+
+    /// Sample size.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Every observed cell as `(n_xy, n_x, n_y)`, in the table's fixed order.
+    pub fn cells(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
+        self.joint
+            .iter()
+            .map(|(&(a, b), &nab)| (nab, self.px[&a], self.py[&b]))
+    }
+}
 
 /// Plug-in MLE estimate of `I(X; Y)` for two discrete samples given as
 /// integer codes.
@@ -18,7 +78,7 @@ pub fn mle_mi(x: &[u32], y: &[u32]) -> Result<f64> {
 }
 
 fn plug_in_mi(table: &Contingency) -> f64 {
-    let n = table.n() as f64;
+    let n = table.n as f64;
     let mut mi = 0.0;
     for (nab, na, nb) in table.cells() {
         let pab = nab / n;
@@ -44,10 +104,14 @@ pub fn smoothed_mle_mi(x: &[u32], y: &[u32], alpha: f64) -> Result<f64> {
     if alpha == 0.0 {
         return Ok(plug_in_mi(&table));
     }
-    let xs = table.x_support();
-    let ys = table.y_support();
-    let smoothed = |a: u32, b: u32| table.count(a, b) + alpha;
-    let total = table.n() as f64 + alpha * (xs.len() as f64) * (ys.len() as f64);
+    let support = |marginal: &FixedHashMap<u32, f64>| {
+        let mut keys: Vec<u32> = marginal.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    };
+    let (xs, ys) = (support(&table.px), support(&table.py));
+    let smoothed = |a: u32, b: u32| table.joint.get(&(a, b)).copied().unwrap_or(0.0) + alpha;
+    let total = table.n as f64 + alpha * (xs.len() as f64) * (ys.len() as f64);
 
     // Smoothed marginals are the row/column sums of the smoothed joint, each
     // summed once, in ascending category order.
@@ -88,6 +152,29 @@ pub fn mle_mi_bias(m_x: usize, m_y: usize, m_xy: usize, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn contingency_counts_cells_and_marginals_in_one_pass() {
+        let t = Contingency::new(&[0, 0, 1, 1, 1], &[5, 5, 5, 7, 7]).unwrap();
+        assert_eq!(t.n(), 5);
+        assert_eq!(t.joint[&(0, 5)], 2.0);
+        assert_eq!(t.joint[&(1, 7)], 2.0);
+        assert!(!t.joint.contains_key(&(0, 7)));
+        let mut cells: Vec<(f64, f64, f64)> = t.cells().collect();
+        cells.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(
+            cells,
+            vec![(1.0, 3.0, 3.0), (2.0, 2.0, 3.0), (2.0, 3.0, 2.0)]
+        );
+        assert!(matches!(
+            Contingency::new(&[0, 1], &[0]),
+            Err(EstimatorError::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            Contingency::new(&[], &[]),
+            Err(EstimatorError::InsufficientSamples { .. })
+        ));
+    }
 
     #[test]
     fn identical_variables_have_mi_equal_to_entropy() {

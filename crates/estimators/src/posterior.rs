@@ -24,8 +24,8 @@
 //! categories), the same coercion [`crate::select::estimate_mi_with`] applies
 //! when the MLE is forced onto numeric data.
 
-use crate::contingency::Contingency;
 use crate::error::EstimatorError;
+use crate::mle::Contingency;
 use crate::special::digamma;
 use crate::variable::Variable;
 use crate::Result;
@@ -85,12 +85,6 @@ pub fn mi_posterior(x: &[u32], y: &[u32]) -> Result<MiPosterior> {
     })
 }
 
-/// [`mi_posterior`] over [`Variable`] samples: continuous sides are grouped
-/// into categories by exact equality before the contingency table is built.
-pub fn mi_posterior_vars(x: &Variable, y: &Variable) -> Result<MiPosterior> {
-    mi_posterior(&x.codes(), &y.codes())
-}
-
 /// Builds the credible interval for a point estimate `mi` from posterior
 /// moments at the given two-sided `level` (e.g. `0.95`).
 ///
@@ -117,9 +111,10 @@ pub fn credible_interval(mi: f64, posterior: MiPosterior, level: f64) -> Result<
 }
 
 /// Posterior credible interval around `mi` for a [`Variable`] sample pair:
-/// [`mi_posterior_vars`] followed by [`credible_interval`].
+/// [`mi_posterior`] over [`Variable::codes`] (continuous sides grouped by
+/// exact equality), then [`credible_interval`].
 pub fn mi_interval(x: &Variable, y: &Variable, mi: f64, level: f64) -> Result<MiInterval> {
-    credible_interval(mi, mi_posterior_vars(x, y)?, level)
+    credible_interval(mi, mi_posterior(&x.codes(), &y.codes())?, level)
 }
 
 /// Standard normal quantile function `Φ⁻¹(p)` for `p ∈ (0, 1)`.
@@ -281,8 +276,8 @@ mod tests {
     fn continuous_sides_are_grouped_by_exact_equality() {
         let x = Variable::Continuous(vec![1.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
         let d = Variable::Discrete(vec![0, 0, 1, 1, 0, 1, 0, 1]);
-        let a = mi_posterior_vars(&x, &x).unwrap();
-        let b = mi_posterior_vars(&d, &d).unwrap();
+        let a = mi_posterior(&x.codes(), &x.codes()).unwrap();
+        let b = mi_posterior(&d.codes(), &d.codes()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -341,7 +336,7 @@ mod tests {
     #[test]
     fn mi_interval_end_to_end() {
         let x = Variable::Discrete(repeated(&[0, 1, 2, 3], 32));
-        let est = crate::select::estimate_mi_default(&x, &x).unwrap();
+        let est = crate::select::estimate_mi(&x, &x, crate::DEFAULT_K).unwrap();
         let iv = mi_interval(&x, &x, est.mi, 0.9).unwrap();
         assert!(iv.ci_lo <= est.mi && est.mi <= iv.ci_hi);
         // Strong dependence on 128 samples: the interval should be tight.

@@ -21,7 +21,7 @@ use crate::mixed_ksg::mixed_ksg_mi_with;
 use crate::mle::{mle_mi, smoothed_mle_mi};
 use crate::variable::Variable;
 use crate::workspace::EstimatorWorkspace;
-use crate::{Result, DEFAULT_K};
+use crate::Result;
 
 /// The available MI estimators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,15 +154,10 @@ pub fn estimate_mi(x: &Variable, y: &Variable, k: usize) -> Result<MiEstimate> {
     estimate_mi_with(x, y, kind, k)
 }
 
-/// Estimates `I(X; Y)` with the automatically selected estimator and the
-/// default neighbour count.
-pub fn estimate_mi_default(x: &Variable, y: &Variable) -> Result<MiEstimate> {
-    estimate_mi(x, y, DEFAULT_K)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_K;
 
     #[test]
     fn selection_follows_type_rule() {
@@ -177,7 +172,7 @@ mod tests {
     #[test]
     fn mle_path_on_identical_discrete() {
         let x = Variable::Discrete(vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        let est = estimate_mi_default(&x, &x).unwrap();
+        let est = estimate_mi(&x, &x, DEFAULT_K).unwrap();
         assert_eq!(est.estimator, EstimatorKind::Mle);
         assert_eq!(est.n, 8);
         assert!((est.mi - 4.0_f64.ln()).abs() < 1e-9);
@@ -187,8 +182,8 @@ mod tests {
     fn dc_ksg_path_accepts_either_argument_order() {
         let d = Variable::Discrete(vec![0, 0, 0, 1, 1, 1, 0, 1, 0, 1]);
         let c = Variable::Continuous(vec![0.1, 0.2, 0.15, 5.1, 5.2, 5.15, 0.12, 5.3, 0.22, 5.05]);
-        let a = estimate_mi_default(&d, &c).unwrap();
-        let b = estimate_mi_default(&c, &d).unwrap();
+        let a = estimate_mi(&d, &c, DEFAULT_K).unwrap();
+        let b = estimate_mi(&c, &d, DEFAULT_K).unwrap();
         assert_eq!(a.estimator, EstimatorKind::DcKsg);
         assert!((a.mi - b.mi).abs() < 1e-12);
     }
@@ -217,6 +212,6 @@ mod tests {
     fn length_mismatch_is_rejected() {
         let x = Variable::Discrete(vec![0, 1]);
         let y = Variable::Discrete(vec![0]);
-        assert!(estimate_mi_default(&x, &y).is_err());
+        assert!(estimate_mi(&x, &y, DEFAULT_K).is_err());
     }
 }

@@ -3,14 +3,8 @@
 //! Estimators operate on one of two representations of a column sample:
 //! integer *codes* for discrete (categorical) variables or `f64` coordinates
 //! for continuous / mixture variables. [`Variable`] packages a sample with
-//! its representation and lends it out in either form:
-//! [`Variable::codes`] and [`Variable::as_continuous`] borrow the stored
-//! representation and only build the other one on demand.
-//!
-//! Every [`Value`] → sample conversion goes through [`VariableEncoder`], and
-//! every mapping from values to codes through one first-seen code assigner:
-//! the first distinct value gets code 0, the next 1, and so on. Codes
-//! therefore depend only on the order of the sample, never on a hasher.
+//! its representation and lends it out in either form; [`VariableEncoder`]
+//! is the one [`Value`] → sample conversion.
 
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -52,24 +46,20 @@ impl Variable {
         matches!(self, Self::Discrete(_))
     }
 
-    /// The sample as categorical codes: discrete codes are borrowed as they
-    /// are; continuous coordinates are grouped by exact bit pattern into
-    /// first-seen codes. This is the coercion the MLE-family estimators and
-    /// the posterior interval apply to numeric data.
+    /// The sample as categorical codes: discrete codes are borrowed;
+    /// continuous coordinates are grouped by exact bit pattern into
+    /// first-seen codes (the coercion the MLE family applies to numerics).
     #[must_use]
     pub fn codes(&self) -> Cow<'_, [u32]> {
         match self {
             Self::Discrete(codes) => Cow::Borrowed(codes),
-            Self::Continuous(values) => {
-                Cow::Owned(CodeAssigner::assign(values.iter().map(|x| x.to_bits())))
-            }
+            Self::Continuous(v) => Cow::Owned(first_seen_codes(v.iter().map(|x| x.to_bits()))),
         }
     }
 
-    /// The sample as continuous coordinates: continuous samples are borrowed
-    /// as they are; discrete codes are widened to floats (ordered discrete
-    /// data can legitimately be fed to KSG-type estimators; see Section V-A
-    /// of the paper).
+    /// The sample as coordinates: continuous samples are borrowed; discrete
+    /// codes are widened to floats (ordered discrete data can legitimately be
+    /// fed to KSG-type estimators; see Section V-A of the paper).
     #[must_use]
     pub fn as_continuous(&self) -> Cow<'_, [f64]> {
         match self {
@@ -78,30 +68,16 @@ impl Variable {
         }
     }
 
-    /// Builds a variable from values, choosing the representation from the
-    /// column's data type (see [`VariableEncoder`]). NULLs must be filtered
-    /// out by the caller (pairwise) before conversion; a NULL in a numeric
-    /// column is an error.
-    pub fn from_values(values: &[Value], dtype: DataType) -> Result<Self> {
-        let mut encoder = VariableEncoder::new(dtype, values.len());
-        for v in values {
-            encoder.push(v);
-        }
-        encoder.finish()
-    }
-
     /// Encodes two aligned value columns as a paired sample, keeping only the
-    /// pairs where both sides are non-NULL (used for the full-join baseline,
-    /// which shares the estimation path with the sketches).
+    /// pairs where both sides are non-NULL (the full-join baseline).
     pub fn from_pairs(
         xs: &[Value],
         ys: &[Value],
         x_dtype: DataType,
         y_dtype: DataType,
     ) -> Result<(Self, Self)> {
-        let n = xs.len().min(ys.len());
-        let mut x = VariableEncoder::new(x_dtype, n);
-        let mut y = VariableEncoder::new(y_dtype, n);
+        let mut x = VariableEncoder::new(x_dtype, xs.len());
+        let mut y = VariableEncoder::new(y_dtype, ys.len());
         for (a, b) in xs.iter().zip(ys) {
             if !a.is_null() && !b.is_null() {
                 x.push(a);
@@ -112,23 +88,18 @@ impl Variable {
     }
 }
 
-/// Encodes one column's values into a [`Variable`] as they arrive, with the
-/// representation chosen from the column's data type: strings become
-/// first-seen codes, numerics become `f64` coordinates.
-///
-/// A value that a numeric column cannot hold (a string or a NULL) does not
-/// stop the encoder; the first one is remembered and [`finish`](Self::finish)
-/// reports it as [`EstimatorError::IncompatibleTypes`].
+/// Encodes one column's values into a [`Variable`] as they arrive: string
+/// columns become first-seen codes, numeric columns `f64` coordinates.
+/// A value a numeric column cannot hold (a string or a NULL) is remembered,
+/// and [`finish`](Self::finish) reports the first one as
+/// [`EstimatorError::IncompatibleTypes`].
 #[derive(Debug)]
-pub struct VariableEncoder<'a> {
-    sample: Encoding<'a>,
-    first_bad: Option<&'a Value>,
-}
+pub struct VariableEncoder<'a>(Encoding<'a>);
 
 #[derive(Debug)]
 enum Encoding<'a> {
-    Codes(Vec<u32>, CodeAssigner<&'a Value>),
-    Coords(Vec<f64>),
+    Codes(Vec<u32>, FixedHashMap<&'a Value, u32>),
+    Coords(Vec<f64>, Option<&'a Value>),
 }
 
 impl<'a> VariableEncoder<'a> {
@@ -136,24 +107,20 @@ impl<'a> VariableEncoder<'a> {
     /// `capacity` values.
     #[must_use]
     pub fn new(dtype: DataType, capacity: usize) -> Self {
-        let sample = match dtype {
-            DataType::Str => Encoding::Codes(Vec::with_capacity(capacity), CodeAssigner::new()),
-            DataType::Int | DataType::Float => Encoding::Coords(Vec::with_capacity(capacity)),
-        };
-        Self {
-            sample,
-            first_bad: None,
-        }
+        Self(match dtype {
+            DataType::Str => Encoding::Codes(Vec::with_capacity(capacity), FixedHashMap::default()),
+            DataType::Int | DataType::Float => Encoding::Coords(Vec::with_capacity(capacity), None),
+        })
     }
 
     /// Appends one value.
     pub fn push(&mut self, value: &'a Value) {
-        match &mut self.sample {
-            Encoding::Codes(codes, assigner) => codes.push(assigner.code(value)),
-            Encoding::Coords(coords) => match value.as_f64() {
+        match &mut self.0 {
+            Encoding::Codes(codes, seen) => codes.push(code_of(seen, value)),
+            Encoding::Coords(coords, first_bad) => match value.as_f64() {
                 Some(x) => coords.push(x),
                 None => {
-                    self.first_bad.get_or_insert(value);
+                    first_bad.get_or_insert(value);
                 }
             },
         }
@@ -162,57 +129,50 @@ impl<'a> VariableEncoder<'a> {
     /// The encoded sample, or the first value a numeric column could not
     /// hold.
     pub fn finish(self) -> Result<Variable> {
-        if let Some(v) = self.first_bad {
-            return Err(EstimatorError::IncompatibleTypes {
+        match self.0 {
+            Encoding::Codes(codes, _) => Ok(Variable::Discrete(codes)),
+            Encoding::Coords(coords, None) => Ok(Variable::Continuous(coords)),
+            Encoding::Coords(_, Some(v)) => Err(EstimatorError::IncompatibleTypes {
                 estimator: "variable conversion".to_owned(),
                 detail: format!("non-numeric value `{v}` in a numeric column"),
-            });
+            }),
         }
-        Ok(match self.sample {
-            Encoding::Codes(codes, _) => Variable::Discrete(codes),
-            Encoding::Coords(coords) => Variable::Continuous(coords),
-        })
     }
 }
 
 /// Maps arbitrary values to dense integer codes (equal values share a code).
 #[must_use]
 pub fn discretize(values: &[Value]) -> Vec<u32> {
-    CodeAssigner::assign(values)
+    first_seen_codes(values)
 }
 
-/// The first-seen code assigner: equal keys share a code, and codes count up
-/// from 0 in order of first appearance.
-///
-/// The map is only a lookup, so its hasher never shows in the codes. It is
-/// the deterministic [`FixedHashMap`]; the samples it keys are bounded by the
-/// sketch size, which caps the cost of any adversarial collisions.
-#[derive(Debug)]
-struct CodeAssigner<K> {
-    codes: FixedHashMap<K, u32>,
+/// The one code assigner: equal keys share a code, and codes count up from
+/// 0 in order of first appearance, so they never depend on the hasher. The
+/// map is the deterministic [`FixedHashMap`]; the samples it sees are
+/// bounded by the sketch size, which caps the cost of adversarial collisions.
+fn code_of<K: Hash + Eq>(seen: &mut FixedHashMap<K, u32>, key: K) -> u32 {
+    let next = seen.len() as u32;
+    *seen.entry(key).or_insert(next)
 }
 
-impl<K: Hash + Eq> CodeAssigner<K> {
-    fn new() -> Self {
-        Self {
-            codes: FixedHashMap::default(),
-        }
-    }
-
-    fn code(&mut self, key: K) -> u32 {
-        let next = self.codes.len() as u32;
-        *self.codes.entry(key).or_insert(next)
-    }
-
-    fn assign(keys: impl IntoIterator<Item = K>) -> Vec<u32> {
-        let mut assigner = Self::new();
-        keys.into_iter().map(|key| assigner.code(key)).collect()
-    }
+fn first_seen_codes<K: Hash + Eq>(keys: impl IntoIterator<Item = K>) -> Vec<u32> {
+    let mut seen = FixedHashMap::default();
+    keys.into_iter()
+        .map(|key| code_of(&mut seen, key))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn from_values(values: &[Value], dtype: DataType) -> Result<Variable> {
+        let mut encoder = VariableEncoder::new(dtype, values.len());
+        for v in values {
+            encoder.push(v);
+        }
+        encoder.finish()
+    }
 
     #[test]
     fn discretize_assigns_dense_codes() {
@@ -228,7 +188,7 @@ mod tests {
     #[test]
     fn from_values_string_column() {
         let vals = vec![Value::from("x"), Value::from("y"), Value::from("x")];
-        let v = Variable::from_values(&vals, DataType::Str).unwrap();
+        let v = from_values(&vals, DataType::Str).unwrap();
         assert!(v.is_discrete());
         assert_eq!(v.len(), 3);
         assert_eq!(v, Variable::Discrete(vec![0, 1, 0]));
@@ -237,7 +197,7 @@ mod tests {
     #[test]
     fn from_values_numeric_column() {
         let vals = vec![Value::Int(1), Value::Float(2.5)];
-        let v = Variable::from_values(&vals, DataType::Float).unwrap();
+        let v = from_values(&vals, DataType::Float).unwrap();
         assert_eq!(v, Variable::Continuous(vec![1.0, 2.5]));
         assert!(!v.is_discrete());
     }
@@ -245,7 +205,7 @@ mod tests {
     #[test]
     fn from_values_rejects_nulls_in_numeric() {
         let vals = vec![Value::Int(1), Value::Null];
-        assert!(Variable::from_values(&vals, DataType::Int).is_err());
+        assert!(from_values(&vals, DataType::Int).is_err());
     }
 
     #[test]
@@ -267,15 +227,13 @@ mod tests {
     #[test]
     fn encoder_reports_the_first_non_numeric_value() {
         let vals = [Value::Int(1), Value::from("a"), Value::from("b")];
-        let err = Variable::from_values(&vals, DataType::Int).unwrap_err();
+        let err = from_values(&vals, DataType::Int).unwrap_err();
         match err {
             EstimatorError::IncompatibleTypes { detail, .. } => assert!(detail.contains("`a`")),
             other => panic!("unexpected error {other:?}"),
         }
         assert_eq!(
-            Variable::from_values(&[Value::Int(2)], DataType::Int)
-                .unwrap()
-                .len(),
+            from_values(&[Value::Int(2)], DataType::Int).unwrap().len(),
             1
         );
     }

@@ -46,14 +46,11 @@ impl EstimatorMode {
         }
     }
 
-    /// Applies the estimator to a paired feature/target sample.
-    ///
-    /// The mode, not the sample's representation, picks the treatment:
-    /// the MLE groups numeric values by exact equality, and the KSG-family
-    /// modes need numeric data on their continuous sides. Returns `None` when
-    /// the estimator cannot produce a finite estimate (e.g. too few samples
-    /// or a string column on a continuous side), letting experiments skip
-    /// the trial the same way the paper discards meaningless estimates.
+    /// Applies the estimator to a paired feature/target sample (the mode,
+    /// not the representation, picks the treatment). Returns `None` when the
+    /// estimator cannot produce a finite estimate (too few samples, or a
+    /// string column on a continuous side), letting experiments skip the
+    /// trial the same way the paper discards meaningless estimates.
     #[must_use]
     pub fn estimate(self, x: &Variable, y: &Variable, seed: u64) -> Option<f64> {
         self.estimate_in(&mut EstimatorWorkspace::new(), x, y, seed)
@@ -73,24 +70,19 @@ impl EstimatorMode {
         if x.len() != y.len() || x.len() < DEFAULT_K + 2 {
             return None;
         }
-        match self {
-            Self::Mle => mle_mi(&x.codes(), &y.codes()).ok(),
-            Self::MixedKsg => mixed_ksg_mi_with(ws, numeric(x)?, numeric(y)?, DEFAULT_K).ok(),
-            Self::DcKsg => {
+        match (self, x, y) {
+            (Self::Mle, ..) => mle_mi(&x.codes(), &y.codes()).ok(),
+            (Self::MixedKsg, Variable::Continuous(xf), Variable::Continuous(yf)) => {
+                mixed_ksg_mi_with(ws, xf, yf, DEFAULT_K).ok()
+            }
+            (Self::DcKsg, _, Variable::Continuous(yf)) => {
                 // Break ties so the "continuous" side satisfies the
                 // estimator's assumptions (Section V-A perturbation).
-                let yf = perturb_ties_with(ws, numeric(y)?, 1e-9, seed);
+                let yf = perturb_ties_with(ws, yf, 1e-9, seed);
                 dc_ksg_mi_with(ws, &x.codes(), &yf, DEFAULT_K).ok()
             }
+            _ => None,
         }
-    }
-}
-
-/// The coordinates of a numeric sample; `None` for a string column.
-fn numeric(v: &Variable) -> Option<&[f64]> {
-    match v {
-        Variable::Continuous(values) => Some(values),
-        Variable::Discrete(_) => None,
     }
 }
 
