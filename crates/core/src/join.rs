@@ -61,15 +61,6 @@ impl JoinedSketch {
         Self { len, pair }
     }
 
-    /// Wraps an already encoded, aligned (feature, target) sample.
-    #[must_use]
-    pub fn from_variables(x: Variable, y: Variable) -> Self {
-        Self {
-            len: x.len(),
-            pair: Ok((x, y)),
-        }
-    }
-
     /// Number of recovered pairs (the paper's "sketch join size").
     #[must_use]
     pub fn len(&self) -> usize {
@@ -334,6 +325,17 @@ mod tests {
         assert!((est.mi - 8.0_f64.ln()).abs() < 1e-9);
     }
 
+    /// Joins `ys` (left, target) with `xs` (right, feature) row by row.
+    fn zip_join(
+        x_dtype: DataType,
+        xs: Vec<Value>,
+        y_dtype: DataType,
+        ys: Vec<Value>,
+    ) -> JoinedSketch {
+        let keyed = |values: Vec<Value>| (0u64..).zip(values).collect();
+        sketch(Side::Left, y_dtype, keyed(ys)).join(&sketch(Side::Right, x_dtype, keyed(xs)))
+    }
+
     #[test]
     fn from_pairs_filters_nulls_and_estimates() {
         let xs = vec![
@@ -351,39 +353,45 @@ mod tests {
             Value::Int(5),
         ];
         let (x, y) = Variable::from_pairs(&xs, &ys, DataType::Float, DataType::Int).unwrap();
-        let j = JoinedSketch::from_variables(x, y);
+        let j = zip_join(DataType::Float, xs, DataType::Int, ys);
         assert_eq!(j.len(), 3);
+        assert_eq!(j.variables().unwrap(), (x, y));
         assert!(j.estimate_pearson().unwrap() > 0.99);
         assert!(j.estimate_spearman().unwrap() > 0.99);
     }
 
     #[test]
     fn correlations_are_none_for_string_data() {
-        let j = JoinedSketch::from_variables(
-            Variable::Discrete(vec![0]),
-            Variable::Continuous(vec![1.0]),
+        let j = zip_join(
+            DataType::Str,
+            vec![Value::from("a")],
+            DataType::Int,
+            vec![Value::Int(1)],
         );
         assert!(j.estimate_pearson().is_none());
     }
 
     #[test]
     fn resident_bytes_counts_the_encoded_vectors() {
-        let empty = JoinedSketch::from_variables(
-            Variable::Continuous(Vec::new()),
-            Variable::Continuous(Vec::new()),
-        );
+        let empty = zip_join(DataType::Int, vec![], DataType::Int, vec![]);
         assert_eq!(empty.resident_bytes(), std::mem::size_of::<JoinedSketch>());
 
-        let ints = JoinedSketch::from_variables(
-            Variable::Continuous(vec![1.0, 2.0]),
-            Variable::Continuous(vec![3.0, 4.0]),
+        let ys = vec![Value::Int(3), Value::Int(4)];
+        let ints = zip_join(
+            DataType::Int,
+            vec![Value::Int(1), Value::Int(2)],
+            DataType::Int,
+            ys.clone(),
         );
-        let codes = JoinedSketch::from_variables(
-            Variable::Discrete(vec![0, 1]),
-            Variable::Continuous(vec![3.0, 4.0]),
+        let codes = zip_join(
+            DataType::Str,
+            vec![Value::from("a-reasonably-long-string"), Value::from("x")],
+            DataType::Int,
+            ys,
         );
         assert!(ints.resident_bytes() > empty.resident_bytes());
-        // Same pair count: codes take 4 bytes per pair, coordinates 8.
+        // Same pair count: codes take 4 bytes per pair, coordinates 8, and
+        // string payloads are not kept at all.
         assert_eq!(ints.resident_bytes() - codes.resident_bytes(), 2 * 4);
     }
 
@@ -414,10 +422,7 @@ mod tests {
 
     #[test]
     fn empty_join_estimation_errors() {
-        let j = JoinedSketch::from_variables(
-            Variable::Continuous(Vec::new()),
-            Variable::Continuous(Vec::new()),
-        );
+        let j = zip_join(DataType::Int, vec![], DataType::Int, vec![]);
         assert!(j.is_empty());
         assert!(j.estimate_mi().is_err());
     }

@@ -500,14 +500,26 @@ impl CacheScope<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinmi_estimators::Variable;
+    use joinmi_hash::KeyHash;
+    use joinmi_sketch::{ColumnSketch, Side, SketchConfig, SketchKind, SketchRow};
+    use joinmi_table::{DataType, Value};
 
     fn joined(n: usize) -> Arc<JoinedSketch> {
-        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        Arc::new(JoinedSketch::from_variables(
-            Variable::Continuous(xs.clone()),
-            Variable::Continuous(xs),
-        ))
+        let sketch = |side| {
+            let rows = (0..n as u64)
+                .map(|i| SketchRow::new(KeyHash(i), Value::Int(i as i64)))
+                .collect();
+            ColumnSketch::new(
+                SketchKind::Tupsk,
+                side,
+                rows,
+                DataType::Int,
+                n,
+                n,
+                SketchConfig::default(),
+            )
+        };
+        Arc::new(sketch(Side::Left).join(&sketch(Side::Right)))
     }
 
     fn estimate(mi: f64) -> CachedEstimate {

@@ -26,8 +26,8 @@
 //! Estimators borrow the form they need: [`Variable::codes`] groups
 //! coordinates by exact bit pattern, [`Variable::as_continuous`] widens
 //! codes to floats. [`mle_mi`], [`smoothed_mle_mi`] and [`mi_posterior`]
-//! all read one [`Contingency`] table, the only place joint and marginal
-//! counts are built.
+//! all read one contingency table (`mle::Contingency`), the only place
+//! joint and marginal counts are built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +53,7 @@ pub use entropy::{knn_entropy_1d, miller_madow_entropy, mle_entropy};
 pub use error::EstimatorError;
 pub use ksg::{ksg_mi, ksg_mi_with};
 pub use mixed_ksg::{mixed_ksg_mi, mixed_ksg_mi_with};
-pub use mle::{mle_mi, mle_mi_bias, smoothed_mle_mi, Contingency};
+pub use mle::{mle_mi, mle_mi_bias, smoothed_mle_mi};
 pub use perturb::{perturb_ties, perturb_ties_with};
 pub use posterior::{
     credible_interval, mi_interval, mi_posterior, normal_quantile, MiInterval, MiPosterior,

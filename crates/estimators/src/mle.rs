@@ -15,7 +15,7 @@ use crate::Result;
 /// so the cells iterate in a fixed order and every float sum over them is
 /// bit-for-bit reproducible across runs and parallel/sequential replays.
 #[derive(Debug, Clone)]
-pub struct Contingency {
+pub(crate) struct Contingency {
     n: usize,
     joint: FixedHashMap<(u32, u32), f64>,
     px: FixedHashMap<u32, f64>,
@@ -25,7 +25,7 @@ pub struct Contingency {
 impl Contingency {
     /// Counts the paired sample `(x[i], y[i])`; fails on unaligned or empty
     /// samples.
-    pub fn new(x: &[u32], y: &[u32]) -> Result<Self> {
+    pub(crate) fn new(x: &[u32], y: &[u32]) -> Result<Self> {
         if x.len() != y.len() {
             return Err(EstimatorError::LengthMismatch {
                 x_len: x.len(),
@@ -54,12 +54,12 @@ impl Contingency {
 
     /// Sample size.
     #[must_use]
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// Every observed cell as `(n_xy, n_x, n_y)`, in the table's fixed order.
-    pub fn cells(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
         self.joint
             .iter()
             .map(|(&(a, b), &nab)| (nab, self.px[&a], self.py[&b]))

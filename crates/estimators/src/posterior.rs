@@ -61,7 +61,7 @@ pub struct MiInterval {
 
 /// Computes the posterior moments of `I(X; Y)` from integer-coded samples.
 ///
-/// The moments are sums over the same [`Contingency`] table, in the same
+/// The moments are sums over the same contingency table, in the same
 /// fixed cell order, as [`crate::mle::mle_mi`], so they are bit-for-bit
 /// reproducible across runs and across parallel/sequential replays.
 pub fn mi_posterior(x: &[u32], y: &[u32]) -> Result<MiPosterior> {

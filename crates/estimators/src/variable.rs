@@ -7,7 +7,8 @@
 //! is the one [`Value`] → sample conversion.
 
 use std::borrow::Cow;
-use std::hash::Hash;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 
 use joinmi_hash::FixedHashMap;
 use joinmi_table::{DataType, Value};
@@ -53,7 +54,10 @@ impl Variable {
     pub fn codes(&self) -> Cow<'_, [u32]> {
         match self {
             Self::Discrete(codes) => Cow::Borrowed(codes),
-            Self::Continuous(v) => Cow::Owned(first_seen_codes(v.iter().map(|x| x.to_bits()))),
+            Self::Continuous(v) => Cow::Owned(first_seen_codes(
+                FixedHashMap::default(),
+                v.iter().map(|x| x.to_bits()),
+            )),
         }
     }
 
@@ -98,7 +102,7 @@ pub struct VariableEncoder<'a>(Encoding<'a>);
 
 #[derive(Debug)]
 enum Encoding<'a> {
-    Codes(Vec<u32>, FixedHashMap<&'a Value, u32>),
+    Codes(Vec<u32>, HashMap<&'a Value, u32>),
     Coords(Vec<f64>, Option<&'a Value>),
 }
 
@@ -108,7 +112,7 @@ impl<'a> VariableEncoder<'a> {
     #[must_use]
     pub fn new(dtype: DataType, capacity: usize) -> Self {
         Self(match dtype {
-            DataType::Str => Encoding::Codes(Vec::with_capacity(capacity), FixedHashMap::default()),
+            DataType::Str => Encoding::Codes(Vec::with_capacity(capacity), HashMap::new()),
             DataType::Int | DataType::Float => Encoding::Coords(Vec::with_capacity(capacity), None),
         })
     }
@@ -143,20 +147,23 @@ impl<'a> VariableEncoder<'a> {
 /// Maps arbitrary values to dense integer codes (equal values share a code).
 #[must_use]
 pub fn discretize(values: &[Value]) -> Vec<u32> {
-    first_seen_codes(values)
+    first_seen_codes(HashMap::new(), values)
 }
 
 /// The one code assigner: equal keys share a code, and codes count up from
-/// 0 in order of first appearance, so they never depend on the hasher. The
-/// map is the deterministic [`FixedHashMap`]; the samples it sees are
-/// bounded by the sketch size, which caps the cost of adversarial collisions.
-fn code_of<K: Hash + Eq>(seen: &mut FixedHashMap<K, u32>, key: K) -> u32 {
+/// 0 in order of first appearance, so they never depend on the hasher.
+/// Values (strings from outside the program) go through the default,
+/// randomly seeded hasher; float bit patterns through the deterministic
+/// [`FixedHashMap`], whose worst case is bounded by the sample size.
+fn code_of<K: Hash + Eq, S: BuildHasher>(seen: &mut HashMap<K, u32, S>, key: K) -> u32 {
     let next = seen.len() as u32;
     *seen.entry(key).or_insert(next)
 }
 
-fn first_seen_codes<K: Hash + Eq>(keys: impl IntoIterator<Item = K>) -> Vec<u32> {
-    let mut seen = FixedHashMap::default();
+fn first_seen_codes<K: Hash + Eq, S: BuildHasher>(
+    mut seen: HashMap<K, u32, S>,
+    keys: impl IntoIterator<Item = K>,
+) -> Vec<u32> {
     keys.into_iter()
         .map(|key| code_of(&mut seen, key))
         .collect()

@@ -89,8 +89,8 @@ fn main() {
         joinmi::table::DataType::Int,
     )
     .expect("numeric columns");
-    let full_joined = joinmi::sketch::JoinedSketch::from_variables(x, y);
-    let full_estimate = full_joined.estimate_mi().expect("estimate");
+    let full_estimate =
+        joinmi::estimators::estimate_mi(&x, &y, joinmi::estimators::DEFAULT_K).expect("estimate");
     println!(
         "full-join estimate: I(num_trips ; AVG(population)) = {:.3} nats  ({} samples)",
         full_estimate.mi, full_estimate.n

@@ -93,8 +93,8 @@ fn quickstart_path_estimates_mi_close_to_full_join() {
         joinmi::table::DataType::Int,
     )
     .expect("numeric columns");
-    let full_joined = joinmi::sketch::JoinedSketch::from_variables(x, y);
-    let full_estimate = full_joined.estimate_mi().expect("full-join MI estimate");
+    let full_estimate = joinmi::estimators::estimate_mi(&x, &y, joinmi::estimators::DEFAULT_K)
+        .expect("full-join MI estimate");
     assert!(full_estimate.mi.is_finite());
     assert!(
         full_estimate.mi > 0.1,
